@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-sarif mc check fuzz bench bench-json bench-regress fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
+.PHONY: build test race lint lint-sarif mc check fuzz bench bench-json bench-regress paper-check fault-smoke serve serve-smoke trace-smoke promscrape-smoke soak-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,12 @@ check: build lint test race mc
 # `go test`; this explores further).
 fuzz:
 	$(GO) test ./internal/coherence/ -run FuzzNewByName -fuzz FuzzNewByName -fuzztime 30s
+
+# Paper-output gate (same check CI runs): regenerating every table and
+# figure at the committed scale must reproduce paper_output.txt byte for
+# byte, so the published artifact cannot drift silently.
+paper-check:
+	$(GO) run ./cmd/paper -refs 1000000 | cmp - paper_output.txt
 
 # End-to-end resilience drill (same scenario CI runs): a sweep with an
 # injected panic, a truncated trace and transient faults on every job
@@ -270,8 +276,8 @@ promscrape-smoke:
 	grep -q 'drained cleanly' promscrape-smoke.tmp/daemon.log
 	rm -rf promscrape-smoke.tmp
 
-# Driver throughput baseline: sequential vs parallel lockstep simulation
-# over four schemes, recorded as a JSON benchmark log for comparison
+# Driver throughput baseline: one engine, a four-scheme lockstep mix and
+# the same mix traced, recorded as a JSON benchmark log for comparison
 # across commits (CI runs the same benchmark once as a smoke test).
 bench:
 	$(GO) test -run '^$$' -bench SimulatorThroughput -benchtime 1x -json . | tee BENCH_throughput.json

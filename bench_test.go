@@ -12,7 +12,6 @@ package dirsim_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -603,14 +602,12 @@ func BenchmarkExtensionLargerMachine(b *testing.B) {
 	b.ReportMetric(ptr1, "one_pointer_writes_pct_16p")
 }
 
-// Throughput benchmark: raw simulation speed of the lockstep driver over a
-// representative scheme mix, sequential versus the decode-once/fan-out
-// parallel driver, versus sequential with the flight recorder at its
-// default sampling. The parallel variant shards the engine set across
-// GOMAXPROCS workers; results are bitwise-identical to sequential (asserted
-// in internal/sim's parallel tests), so this measures pure driver overhead
-// and scaling. The traced variant guards the recorder's overhead budget:
-// it must stay within a few percent of the sequential baseline.
+// Throughput benchmark: raw simulation speed of the driver loop over a
+// representative four-scheme mix in lockstep ("sequential"), over one
+// engine alone ("single"), and over the four-scheme mix with the flight
+// recorder at its default sampling ("traced"). The traced variant guards
+// the recorder's overhead budget: it must stay within a few percent of
+// the untraced lockstep run.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	_, traces := loadBenchTraces(b)
 	tr := traces[0]
@@ -629,8 +626,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) { run(b, func() dirsim.Options { return dirsim.Options{} }) })
 	b.Run("single", func(b *testing.B) {
-		// One engine, sequential: the per-reference cost of the hot path
-		// itself, with no fan-out amortization — the number the
+		// One engine: the per-reference cost of the hot path itself, with
+		// no decode amortized across engines — the number the
 		// data-oriented engine rewrite is measured on (BENCH_*.json).
 		b.SetBytes(int64(len(tr)))
 		b.ResetTimer()
@@ -640,9 +637,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		run(b, func() dirsim.Options { return dirsim.Options{Parallel: runtime.GOMAXPROCS(0)} })
 	})
 	b.Run("traced", func(b *testing.B) {
 		// A fresh recorder per run, as the CLIs do: rings and track

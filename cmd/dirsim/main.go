@@ -8,7 +8,7 @@
 //	dirsim -trace pops.trc -schemes dir0b,dirnnb -events
 //	dirsim -workload thor -drop-locks -schemes dir1nb
 //	dirsim -workload pops -finite 64x4 -schemes dir0b
-//	dirsim -workload pops -refs 5000000 -parallel 4 -progress -timeout 60s
+//	dirsim -workload pops -refs 5000000 -progress -timeout 60s
 //	dirsim -workload pops -schemes dir1b -trace-out run.json -spans
 package main
 
@@ -59,14 +59,13 @@ func main() {
 	latency := flag.Bool("latency", false, "also print average memory access time (Section 5.1's metric)")
 	numaNodes := flag.Int("numa", 0, "also simulate a distributed full-map directory with N nodes (message-level)")
 	numaHome := flag.String("home", "interleaved", "NUMA home policy: interleaved or firsttouch")
-	parallel := flag.Int("parallel", 1, "engine worker goroutines (1 = sequential; results are identical)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	progress := flag.Bool("progress", false, "report throughput on stderr while simulating")
 	pprofFile := flag.String("pprof", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceOut := flag.String("trace-out", "", "write a flight trace here (.json = Chrome trace for Perfetto, .ndjson = one event per line)")
 	traceSample := flag.Int("trace-sample", flight.DefaultSample, "with -trace-out, record every Nth reference's protocol events (0 = spans only)")
-	spans := flag.Bool("spans", false, "with -trace-out, also record decode/simulate/fan-out/report phase spans")
+	spans := flag.Bool("spans", false, "with -trace-out, also record decode/simulate/report phase spans")
 	flag.Parse()
 
 	// A signal cancels the run between batches; the explicit stopProfiles
@@ -117,7 +116,7 @@ func main() {
 		events: *events, fanout: *fanout, csvOut: *csvOut, markdown: *md,
 		latency: *latency, q: *q,
 		numaNodes: *numaNodes, numaHome: *numaHome,
-		parallel: *parallel, progress: *progress, progressW: os.Stderr,
+		progress: *progress, progressW: os.Stderr,
 		recorder: rec,
 	}); err != nil {
 		fatal(err)
@@ -206,7 +205,6 @@ type options struct {
 	q                      float64
 	numaNodes              int
 	numaHome               string
-	parallel               int
 	progress               bool
 	progressW              io.Writer
 	recorder               *flight.Recorder
@@ -226,7 +224,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			return fmt.Errorf("bad -finite %q (want SETSxWAYS): %v", o.finite, err)
 		}
 	}
-	opts := sim.Options{Parallel: o.parallel, Recorder: o.recorder}
+	opts := sim.Options{Recorder: o.recorder}
 	if o.byProcess {
 		opts.CacheBy = sim.ByProcess
 	}

@@ -122,14 +122,14 @@ func TestRunFiniteAndFilters(t *testing.T) {
 	}
 }
 
-// TestRunProgressAndParallel exercises the -progress and -parallel paths:
-// the progress writer must see at least one throughput line, stdout stays
-// clean of it, and the parallel run reports the same table as sequential.
-func TestRunProgressAndParallel(t *testing.T) {
+// TestRunProgress exercises the -progress path: the progress writer must
+// see at least one throughput line, stdout stays clean of it, and the run
+// reports the same table as one without progress.
+func TestRunProgress(t *testing.T) {
 	var out, prog strings.Builder
 	err := run(context.Background(), &out, options{
 		workload: "pero", refs: 20000, schemes: "dir0b,dragon", cpus: 4,
-		parallel: 4, progress: true, progressW: &prog,
+		progress: true, progressW: &prog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,14 +140,14 @@ func TestRunProgressAndParallel(t *testing.T) {
 	if strings.Contains(out.String(), "refs/s") {
 		t.Error("progress leaked into stdout")
 	}
-	var seq strings.Builder
-	if err := run(context.Background(), &seq, options{
+	var plain strings.Builder
+	if err := run(context.Background(), &plain, options{
 		workload: "pero", refs: 20000, schemes: "dir0b,dragon", cpus: 4,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != seq.String() {
-		t.Error("parallel table differs from sequential")
+	if out.String() != plain.String() {
+		t.Error("progress run's table differs from a plain run's")
 	}
 }
 

@@ -279,8 +279,7 @@ func Run(rd TraceReader, engines []Engine, opts Options) ([]Result, error) {
 }
 
 // RunContext is Run with a context that can cancel the simulation between
-// reference batches. With opts.Parallel > 1 the engines run on worker
-// goroutines; results are identical to the sequential driver.
+// chunks of 4096 references.
 func RunContext(ctx context.Context, rd TraceReader, engines []Engine, opts Options) ([]Result, error) {
 	return sim.Run(ctx, rd, engines, opts)
 }

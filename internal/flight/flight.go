@@ -157,8 +157,8 @@ type Options struct {
 	// Capacity bounds each ring's event count; it is rounded up to a
 	// power of two. 0 means 1<<16 events per ring.
 	Capacity int
-	// Spans records run-phase spans (decode, fan-out, per-engine
-	// simulate, report) in addition to sampled protocol events.
+	// Spans records run-phase spans (decode, per-engine simulate,
+	// report) in addition to sampled protocol events.
 	Spans bool
 	// Pid is the Chrome-trace process id — callers running one recorder
 	// per job use the job ordinal, which groups each job's tracks.

@@ -50,8 +50,8 @@ type Options struct {
 	// Workers bounds the number of concurrently running jobs; values
 	// below 1 mean 1 (sequential). Workers are fixed goroutines that
 	// claim jobs in index order, so no run ever spawns more goroutines
-	// than Workers (plus each job's own sim.Options.Parallel engine
-	// workers).
+	// than Workers (each job's simulation runs on the worker that claimed
+	// it).
 	Workers int
 	// Metrics, when non-nil, accumulates refs simulated, jobs done/total,
 	// retries/failures/panics and per-engine tallies across the run.

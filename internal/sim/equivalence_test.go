@@ -101,10 +101,24 @@ func engineDigest(t *testing.T, r Result, eng coherence.Engine, blocks []uint64)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// equivalenceInputs are the driver paths the digests must hold on: each
+// engine alone over an in-memory trace (the shape the goldens were
+// generated in), each engine alone over a streaming reader, and every
+// engine together in one lockstep run.
+var equivalenceInputs = []struct {
+	name      string
+	streaming bool
+	lockstep  bool
+}{
+	{"single", false, false},
+	{"streaming", true, false},
+	{"lockstep", false, true},
+}
+
 // computeEquivalenceDigests runs every registered engine over every
 // workload × configuration and returns the digest map keyed
 // "workload/config/scheme".
-func computeEquivalenceDigests(t *testing.T) map[string]string {
+func computeEquivalenceDigests(t *testing.T, streaming, lockstep bool) map[string]string {
 	t.Helper()
 	traces := equivalenceTraces(t)
 	workloads := make([]string, 0, len(traces))
@@ -112,24 +126,43 @@ func computeEquivalenceDigests(t *testing.T) map[string]string {
 		workloads = append(workloads, w)
 	}
 	sort.Strings(workloads)
+	schemes := coherence.EngineNames()
 	digests := map[string]string{}
 	for _, w := range workloads {
 		tr := traces[w]
 		blocks := dataBlocks(tr, trace.DefaultBlockBytes)
 		for _, c := range equivalenceCases() {
-			for _, scheme := range coherence.EngineNames() {
+			engines := make([]coherence.Engine, len(schemes))
+			for i, scheme := range schemes {
 				eng, err := coherence.NewByName(scheme, c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Run(context.Background(), trace.NewSliceReader(tr), []coherence.Engine{eng}, c.opts)
+				engines[i] = eng
+			}
+			// One run of all engines in lockstep mode, one run per engine
+			// otherwise.
+			step := 1
+			if lockstep {
+				step = len(engines)
+			}
+			for lo := 0; lo < len(engines); lo += step {
+				group := engines[lo : lo+step]
+				var rd trace.Reader = trace.NewSliceReader(tr)
+				if streaming {
+					rd = streamReader{rd}
+				}
+				res, err := Run(context.Background(), rd, group, c.opts)
 				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", w, c.name, scheme, err)
+					t.Fatalf("%s/%s: %v", w, c.name, err)
 				}
-				if err := eng.CheckInvariants(); err != nil {
-					t.Fatalf("%s/%s/%s: %v", w, c.name, scheme, err)
+				for i, eng := range group {
+					key := w + "/" + c.name + "/" + schemes[lo+i]
+					if err := eng.CheckInvariants(); err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					digests[key] = engineDigest(t, res[i], eng, blocks)
 				}
-				digests[w+"/"+c.name+"/"+scheme] = engineDigest(t, res[0], eng, blocks)
 			}
 		}
 	}
@@ -138,10 +171,11 @@ func computeEquivalenceDigests(t *testing.T) map[string]string {
 
 // TestEngineEquivalenceGoldens asserts that every engine still produces
 // bitwise-identical results to the original sequential map-keyed
-// implementation, across all 17 schemes and every configuration class.
+// implementation, across all 17 schemes and every configuration class, on
+// every equivalenceInputs driver path.
 func TestEngineEquivalenceGoldens(t *testing.T) {
-	got := computeEquivalenceDigests(t)
 	if *updateGolden {
+		got := computeEquivalenceDigests(t, false, false)
 		data, err := json.MarshalIndent(got, "", "\t")
 		if err != nil {
 			t.Fatal(err)
@@ -163,20 +197,25 @@ func TestEngineEquivalenceGoldens(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Errorf("golden has %d digests, run produced %d", len(want), len(got))
-	}
-	var bad []string
-	for k, w := range want {
-		if g, ok := got[k]; !ok {
-			bad = append(bad, k+" (missing from run)")
-		} else if g != w {
-			bad = append(bad, k)
-		}
-	}
-	sort.Strings(bad)
-	if len(bad) > 0 {
-		t.Errorf("%d of %d digests diverge from the seed results:\n  %s",
-			len(bad), len(want), strings.Join(bad, "\n  "))
+	for _, in := range equivalenceInputs {
+		t.Run(in.name, func(t *testing.T) {
+			got := computeEquivalenceDigests(t, in.streaming, in.lockstep)
+			if len(want) != len(got) {
+				t.Errorf("golden has %d digests, run produced %d", len(want), len(got))
+			}
+			var bad []string
+			for k, w := range want {
+				if g, ok := got[k]; !ok {
+					bad = append(bad, k+" (missing from run)")
+				} else if g != w {
+					bad = append(bad, k)
+				}
+			}
+			sort.Strings(bad)
+			if len(bad) > 0 {
+				t.Errorf("%d of %d digests diverge from the seed results:\n  %s",
+					len(bad), len(want), strings.Join(bad, "\n  "))
+			}
+		})
 	}
 }

@@ -21,8 +21,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 // TestTracedStatsIdenticalAllEngines is the recorder's core contract:
 // tracing is a pure observer, so with sampling and spans on — even at
 // sample=1, the densest setting — every engine's Stats must be bitwise
-// identical to an untraced run. Checked across all 17 registered schemes,
-// sequentially and through the parallel fan-out.
+// identical to an untraced run. Checked across all 17 registered schemes
+// in one lockstep run.
 func TestTracedStatsIdenticalAllEngines(t *testing.T) {
 	tr, err := tracegen.Generate(tracegen.POPS(30_000))
 	if err != nil {
@@ -40,7 +40,6 @@ func TestTracedStatsIdenticalAllEngines(t *testing.T) {
 	}{
 		{"sequential-sample1", Options{Recorder: flight.New(flight.Options{Sample: 1, Spans: true})}},
 		{"sequential-default", Options{Recorder: flight.New(flight.Options{Sample: flight.DefaultSample})}},
-		{"parallel-sample1", Options{Parallel: 4, Recorder: flight.New(flight.Options{Sample: 1, Spans: true})}},
 	} {
 		traced, err := RunSchemes(context.Background(), trace.NewSliceReader(tr), schemes, cfg, tc.opts)
 		if err != nil {

@@ -1,17 +1,15 @@
 // Package sim drives coherence protocol engines over multiprocessor
 // address traces, reproducing the methodology of Section 4.
 //
-// The driver streams a trace once: references are decoded into batches —
-// cache attribution resolved, block number computed, the paper's
-// first-reference exclusion applied from a single shared seen-set ("we
-// exclude the misses caused by the first reference to a block in the trace
-// because these occur in a uniprocessor infinite cache as well") — and the
-// batches are fed to every engine. With Options.Parallel > 1 the batches
-// fan out to engines running on bounded worker goroutines; each engine
-// still sees the full stream in order, so the results are bitwise
-// identical to the sequential driver. Results carry the Table 4 event
-// counts, the bus-operation tallies priced by internal/bus, and the
-// Figure 1 invalidation-fanout histogram.
+// One driver loop streams a trace once, in chunks: each reference is
+// decoded once — cache attribution resolved, block number computed and
+// interned, the paper's first-reference exclusion applied from the shared
+// block-id table ("we exclude the misses caused by the first reference to
+// a block in the trace because these occur in a uniprocessor infinite
+// cache as well") — and applied to every engine in lockstep. The flight
+// recorder, when attached, is a hook on that same loop. Results carry the
+// Table 4 event counts, the bus-operation tallies priced by internal/bus,
+// and the Figure 1 invalidation-fanout histogram.
 package sim
 
 import (
@@ -19,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 
 	"dirsim/internal/blockid"
 	"dirsim/internal/bus"
@@ -61,34 +58,14 @@ type Options struct {
 	// An alternative to first-reference exclusion for finite-cache
 	// studies (the two compose).
 	WarmupRefs int
-	// Parallel is the number of engine worker goroutines the driver may
-	// use. 0 or 1 keeps the classic sequential lockstep loop; higher
-	// values fan decoded reference batches out to engines running
-	// concurrently (at most one worker per engine is useful). Every
-	// engine sees the full stream in order either way, so results are
-	// identical.
-	Parallel int
 	// OnProgress, when non-nil, is called with the number of references
-	// decoded since the previous call, at batch granularity, from the
-	// goroutine that called Run. It must be fast.
+	// applied since the previous call, once per chunk of the driver loop,
+	// from the goroutine that called Run. It must be fast.
 	OnProgress func(n int)
 	// Recorder, when non-nil and enabled, captures sampled protocol
 	// events and run-phase spans into flight rings. It is a pure
 	// observer: engine Stats are bitwise identical with and without it.
 	Recorder *flight.Recorder
-	// Partition, when greater than 1, runs RunSchemes in address-
-	// partitioned mode: each scheme is instantiated Partition times and
-	// block ids are sharded across the instances (id mod Partition), so a
-	// single scheme's work spreads over that many goroutines. The merged
-	// Stats are bitwise identical to a sequential run because, with
-	// infinite caches and an unbounded directory, every engine's handling
-	// of a block depends only on that block's own state. RunSchemes
-	// rejects the mode for finite caches or a bounded directory (LRU
-	// replacement couples blocks through set and entry contention) and
-	// when a flight recorder is attached (per-shard sampling ordinals
-	// would diverge from the sequential trace). Options.Parallel is
-	// ignored in this mode.
-	Partition int
 }
 
 func (o Options) blockBytes() int {
@@ -109,25 +86,7 @@ func (o Options) Validate() error {
 	if o.WarmupRefs < 0 {
 		return fmt.Errorf("sim: negative WarmupRefs %d", o.WarmupRefs)
 	}
-	if o.Parallel < 0 {
-		return fmt.Errorf("sim: negative Parallel %d", o.Parallel)
-	}
-	if o.Partition < 0 {
-		return fmt.Errorf("sim: negative Partition %d", o.Partition)
-	}
 	return nil
-}
-
-// workers returns the number of engine workers to use for n engines.
-func (o Options) workers(n int) int {
-	w := o.Parallel
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Result is the outcome of running one engine over one trace.
@@ -199,147 +158,13 @@ func (r Result) DirToMemBandwidthRatio() float64 {
 	return float64(r.Stats.DirAccesses) / float64(r.Stats.MemAccesses)
 }
 
-// batchRefs is the decode granularity: cancellation checks, progress
-// callbacks and the parallel fan-out all operate on batches of this many
-// references, so a cancelled run returns within one batch.
+// batchRefs is the driver's chunk size: cancellation checks, progress
+// callbacks and phase spans all happen once per chunk of this many
+// references, so a cancelled run returns within one chunk.
 const batchRefs = 4096
 
-// decodedRef is one reference after the trace-level work is done: cache
-// attribution resolved, block number computed and interned to a dense id,
-// first-reference flag set from the interner's freshness bit.
-type decodedRef struct {
-	cache int
-	kind  trace.Kind
-	block uint64
-	id    blockid.ID // dense block id; meaningless for Instr refs
-	first bool
-}
-
-// decoder turns the raw reference stream into decodedRef batches. The
-// shared block-id table and process-to-cache mapping live here, computed
-// once in the decode stage, which is what makes the engines independent
-// of each other and safe to fan out. Interning doubles as the paper's
-// first-reference detection: a fresh id is by definition the first
-// reference to that block in the trace, so the old seen-set is gone.
-type decoder struct {
-	rd   trace.Reader
-	opts Options
-	// sr is non-nil when rd replays an in-memory trace, enabling the
-	// batch fast path that skips the per-reference interface call.
-	sr     *trace.SliceReader
-	caches int
-	// blockShift turns a byte address into a block number. Validate
-	// guarantees the block size is a power of two, so the decode loop
-	// shifts instead of dividing by a variable (a real division per
-	// reference otherwise dominates single-engine decode).
-	blockShift uint
-	tab        *blockid.Table
-	pidToCache map[uint16]int
-}
-
-func newDecoder(rd trace.Reader, caches int, opts Options) *decoder {
-	sr, _ := rd.(*trace.SliceReader)
-	return &decoder{
-		rd:         rd,
-		opts:       opts,
-		sr:         sr,
-		caches:     caches,
-		blockShift: uint(bits.TrailingZeros(uint(opts.blockBytes()))),
-		tab:        blockid.New(),
-		pidToCache: map[uint16]int{},
-	}
-}
-
-// decode turns one raw reference into its decoded form, shared by the
-// streaming and slice batch loops.
-func (d *decoder) decode(ref trace.Ref) (decodedRef, error) {
-	var c int
-	switch d.opts.CacheBy {
-	case ByCPU:
-		c = int(ref.CPU)
-	case ByProcess:
-		var ok bool
-		c, ok = d.pidToCache[ref.PID]
-		if !ok {
-			c = len(d.pidToCache)
-			d.pidToCache[ref.PID] = c
-		}
-	}
-	if c >= d.caches {
-		return decodedRef{}, fmt.Errorf("sim: reference needs cache %d but engines have %d caches", c, d.caches)
-	}
-	block := ref.Addr >> d.blockShift
-	var id blockid.ID
-	first := false
-	if ref.Kind != trace.Instr {
-		var fresh bool
-		id, fresh = d.tab.Intern(block)
-		first = fresh && !d.opts.IncludeFirstRefCosts
-	}
-	return decodedRef{cache: c, kind: ref.Kind, block: block, id: id, first: first}, nil
-}
-
-// nextBatch appends up to batchRefs decoded references to buf[:0] and
-// returns the batch. It returns io.EOF (possibly alongside a final
-// partial batch) when the trace ends.
-func (d *decoder) nextBatch(buf []decodedRef) ([]decodedRef, error) {
-	batch := buf[:0]
-	if d.sr != nil {
-		// Slice fast path: same decode as d.decode, written out so the
-		// per-reference work stays in one loop with no call overhead.
-		refs := d.sr.Take(batchRefs)
-		byProcess := d.opts.CacheBy == ByProcess
-		include := d.opts.IncludeFirstRefCosts
-		for i := range refs {
-			ref := &refs[i]
-			var c int
-			if byProcess {
-				var ok bool
-				c, ok = d.pidToCache[ref.PID]
-				if !ok {
-					c = len(d.pidToCache)
-					d.pidToCache[ref.PID] = c
-				}
-			} else {
-				c = int(ref.CPU)
-			}
-			if c >= d.caches {
-				return batch, fmt.Errorf("sim: reference needs cache %d but engines have %d caches", c, d.caches)
-			}
-			block := ref.Addr >> d.blockShift
-			var id blockid.ID
-			first := false
-			if ref.Kind != trace.Instr {
-				var fresh bool
-				id, fresh = d.tab.Intern(block)
-				first = fresh && !include
-			}
-			batch = append(batch, decodedRef{cache: c, kind: ref.Kind, block: block, id: id, first: first})
-		}
-		if len(refs) < batchRefs {
-			return batch, io.EOF
-		}
-		return batch, nil
-	}
-	for len(batch) < batchRefs {
-		ref, err := d.rd.Next()
-		if err != nil {
-			if err == io.EOF {
-				return batch, io.EOF
-			}
-			return batch, err
-		}
-		dr, err := d.decode(ref)
-		if err != nil {
-			return batch, err
-		}
-		batch = append(batch, dr)
-	}
-	return batch, nil
-}
-
 // engineSlot pairs an engine with its id-indexed fast path. idx is non-nil
-// when the engine accepted the decoder's shared block-id table, letting the
+// when the engine accepted the driver's shared block-id table, letting the
 // driver skip the engine's own interning; otherwise the driver falls back
 // to the address-keyed Access method (e.g. for an engine that already
 // carries state from an earlier run, or a caller-supplied engine outside
@@ -349,7 +174,7 @@ type engineSlot struct {
 	idx coherence.IndexedEngine
 }
 
-// bindEngines offers every engine the decoder's block-id table.
+// bindEngines offers every engine the driver's block-id table.
 func bindEngines(engines []coherence.Engine, tab *blockid.Table) []engineSlot {
 	slots := make([]engineSlot, len(engines))
 	for i, e := range engines {
@@ -361,74 +186,18 @@ func bindEngines(engines []coherence.Engine, tab *blockid.Table) []engineSlot {
 	return slots
 }
 
-// applyBatch feeds one batch to a group of engines, handling the end of
-// the warm-up window exactly where the sequential driver always has:
-// after reference number WarmupRefs. processed is the group's reference
-// count before the batch; the updated count is returned.
-func applyBatch(batch []decodedRef, engines []engineSlot, warmup, processed int) int {
-	// The warm-up boundary falls inside at most one batch per run; split
-	// that batch once so the hot loop carries no per-reference counter.
-	if warmup > processed && warmup <= processed+len(batch) {
-		cut := warmup - processed
-		applyRefs(batch[:cut], engines)
-		// End of warm-up: keep all protocol state, measure only what
-		// follows.
-		for _, s := range engines {
-			s.eng.ResetStats()
-		}
-		applyRefs(batch[cut:], engines)
-		return processed + len(batch)
-	}
-	applyRefs(batch, engines)
-	return processed + len(batch)
-}
-
-// applyRefs is the innermost dispatch loop. The single-engine shapes are
-// split out so the slot fields load once per batch instead of once per
-// reference — the single-scheme run is the throughput number the
-// data-oriented core is measured on.
-func applyRefs(refs []decodedRef, engines []engineSlot) {
-	if len(engines) == 1 {
-		if ie := engines[0].idx; ie != nil {
-			for i := range refs {
-				r := &refs[i]
-				ie.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-			}
-			return
-		}
-		e := engines[0].eng
-		for i := range refs {
-			r := &refs[i]
-			e.Access(r.cache, r.kind, r.block, r.first)
-		}
-		return
-	}
-	for i := range refs {
-		r := &refs[i]
-		for _, s := range engines {
-			if s.idx != nil {
-				s.idx.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-			} else {
-				s.eng.Access(r.cache, r.kind, r.block, r.first)
-			}
-		}
-	}
-}
-
-// runTrace holds the per-run flight-recorder wiring: the sampling
-// interval, the driver track, and one track per engine (aligned with the
-// engine slice, so workers index it with the same lo:hi bounds they use
-// for their engine group). Phase ids are interned up front so the hot
-// path never touches the recorder's name tables.
+// runTrace holds the per-run flight-recorder wiring: the ring the driver
+// emits into, the sampling interval, the driver track, and one track per
+// engine (aligned with the engine slice). Phase ids are interned up front so the hot path never
+// touches the recorder's name tables.
 type runTrace struct {
-	rec      *flight.Recorder
+	ring     *flight.Ring
 	sample   uint64
 	spans    bool
 	driver   uint16
 	tracks   []uint16
 	decodeID uint32
 	simID    uint32
-	fanoutID uint32
 }
 
 // newRunTrace registers the run's tracks and phases on rec. It returns
@@ -439,7 +208,7 @@ func newRunTrace(rec *flight.Recorder, engines []coherence.Engine) *runTrace {
 		return nil
 	}
 	tr := &runTrace{
-		rec:    rec,
+		ring:   rec.NewRing(),
 		sample: uint64(rec.SampleEvery()),
 		spans:  rec.SpansEnabled(),
 		driver: rec.AddTrack("driver"),
@@ -450,118 +219,269 @@ func newRunTrace(rec *flight.Recorder, engines []coherence.Engine) *runTrace {
 	}
 	tr.decodeID = rec.PhaseID("decode")
 	tr.simID = rec.PhaseID("simulate")
-	tr.fanoutID = rec.PhaseID("fan-out")
 	return tr
 }
 
-// spanDur clamps a reference count to the Event.Dur field width.
-func spanDur(n uint64) uint32 {
-	if n > 1<<32-1 {
-		return 1<<32 - 1
-	}
-	return uint32(n)
+// driver is the one simulation loop. It takes the trace in chunks of
+// batchRefs references, decodes each reference once — cache attribution
+// resolved, block number computed and interned to a dense id, first-
+// reference flag set — and applies it to every engine in lockstep. The
+// shared block-id table and process-to-cache mapping live here, which is
+// what keeps the engines independent of each other. Interning doubles as
+// the paper's first-reference detection: a fresh id is by definition the
+// first reference to that block in the trace.
+type driver struct {
+	rd trace.Reader
+	// sr is non-nil when rd replays an in-memory trace: chunks are then
+	// zero-copy views of it instead of buf refills through Next.
+	sr  *trace.SliceReader
+	buf []trace.Ref
+
+	caches    int
+	byProcess bool
+	include   bool // Options.IncludeFirstRefCosts
+	// blockShift turns a byte address into a block number. Validate
+	// guarantees the block size is a power of two, so the loop shifts
+	// instead of dividing by a variable.
+	blockShift uint
+	tab        *blockid.Table
+	pidToCache map[uint16]int
+
+	// slots lists every engine in Run's order; indexed and fallback
+	// split it by the method the hot loop calls.
+	slots    []engineSlot
+	indexed  []coherence.IndexedEngine
+	fallback []coherence.Engine
+
+	warmup     int
+	processed  int // references applied so far
+	tr         *runTrace
+	nextSample uint64 // ordinal of the next sampled reference when tr != nil
 }
 
-// applyBatchTraced is applyBatch with the flight recorder attached:
-// every tr.sample-th reference (by global reference ordinal, so the
-// choice is deterministic) has its Table 4 classification recorded on
-// each engine's track, plus any directory protocol actions the access
-// triggered — derived by diffing the engine's own Stats counters around
-// the call, so the engines themselves are untouched and their tallies
-// provably unchanged. tracks is tr.tracks sliced to this engine group;
-// ring is this worker's single-writer buffer.
-func applyBatchTraced(batch []decodedRef, engines []engineSlot, tracks []uint16, tr *runTrace, ring *flight.Ring, warmup, processed int) int {
-	if tr == nil {
-		return applyBatch(batch, engines, warmup, processed)
+func newDriver(rd trace.Reader, engines []coherence.Engine, caches int, opts Options) *driver {
+	d := &driver{
+		rd:         rd,
+		caches:     caches,
+		byProcess:  opts.CacheBy == ByProcess,
+		include:    opts.IncludeFirstRefCosts,
+		blockShift: uint(bits.TrailingZeros(uint(opts.blockBytes()))),
+		tab:        blockid.New(),
+		pidToCache: map[uint16]int{},
+		warmup:     opts.WarmupRefs,
+		tr:         newRunTrace(opts.Recorder, engines),
 	}
-	start := uint64(processed)
-	// One division per batch instead of a modulo per reference: sampled
-	// ordinals are the multiples of tr.sample, so the loop below runs
-	// applyBatch's plain inner loop over the stretches between them and
-	// pays the recording cost only at the sample points themselves.
-	nextSample := ^uint64(0)
-	if tr.sample > 0 {
-		nextSample = (start + tr.sample - 1) / tr.sample * tr.sample
+	if d.sr, _ = rd.(*trace.SliceReader); d.sr == nil {
+		d.buf = make([]trace.Ref, 0, batchRefs)
 	}
-	for i := 0; i < len(batch); {
-		seq := uint64(processed)
-		if seq == nextSample {
-			nextSample += tr.sample
-			r := batch[i]
-			for ei, s := range engines {
-				st := s.eng.Stats()
-				di := st.DirectedInvals
-				bi := st.BroadcastInvals
-				pe := st.PointerEvictions
-				de := st.DirEntryEvictions
-				var typ events.Type
-				if s.idx != nil {
-					typ = s.idx.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-				} else {
-					typ = s.eng.Access(r.cache, r.kind, r.block, r.first)
-				}
-				ring.Emit(flight.Event{Seq: seq, Block: r.block, Track: tracks[ei], Cache: int16(r.cache), Kind: flight.Kind(typ)})
-				if n := st.DirectedInvals - di; n > 0 {
-					ring.Emit(flight.Event{Seq: seq, Block: r.block, Arg: uint32(n), Track: tracks[ei], Cache: int16(r.cache), Kind: flight.KindInval})
-				}
-				if n := st.BroadcastInvals - bi; n > 0 {
-					ring.Emit(flight.Event{Seq: seq, Block: r.block, Arg: uint32(n), Track: tracks[ei], Cache: int16(r.cache), Kind: flight.KindBroadcast})
-				}
-				if n := st.PointerEvictions - pe; n > 0 {
-					ring.Emit(flight.Event{Seq: seq, Block: r.block, Arg: uint32(n), Track: tracks[ei], Cache: int16(r.cache), Kind: flight.KindPointerEviction})
-				}
-				if n := st.DirEntryEvictions - de; n > 0 {
-					ring.Emit(flight.Event{Seq: seq, Block: r.block, Arg: uint32(n), Track: tracks[ei], Cache: int16(r.cache), Kind: flight.KindDirOverflow})
-				}
+	d.slots = bindEngines(engines, d.tab)
+	for _, s := range d.slots {
+		if s.idx != nil {
+			d.indexed = append(d.indexed, s.idx)
+		} else {
+			d.fallback = append(d.fallback, s.eng)
+		}
+	}
+	return d
+}
+
+// run drives the whole trace, checking ctx and reporting progress once
+// per chunk.
+func (d *driver) run(ctx context.Context, onProgress func(n int)) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		refs, more, err := d.next()
+		if err != nil {
+			return err
+		}
+		if len(refs) > 0 {
+			if err := d.chunk(refs); err != nil {
+				return err
 			}
-			processed++
-			i++
-			if processed == warmup {
-				for _, s := range engines {
-					s.eng.ResetStats()
-				}
+			if onProgress != nil {
+				onProgress(len(refs))
 			}
+		}
+		if !more {
+			break
+		}
+	}
+	if d.processed < d.warmup {
+		// The trace ended inside the warm-up window: nothing measured.
+		d.resetStats()
+	}
+	return nil
+}
+
+// next returns the next chunk of at most batchRefs references and whether
+// the trace may continue past it.
+func (d *driver) next() ([]trace.Ref, bool, error) {
+	if d.sr != nil {
+		refs := d.sr.Take(batchRefs)
+		return refs, len(refs) == batchRefs, nil
+	}
+	refs := d.buf[:0]
+	for len(refs) < batchRefs {
+		ref, err := d.rd.Next()
+		if err == io.EOF {
+			return refs, false, nil
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		refs = append(refs, ref)
+	}
+	return refs, true, nil
+}
+
+// chunk applies one chunk in segments that end at the warm-up boundary
+// and, with a recorder attached, isolate each sampled reference, so the
+// apply loop itself carries no per-reference counter. Spans cover the
+// whole chunk: decode on the driver track, simulate on every engine's.
+func (d *driver) chunk(refs []trace.Ref) error {
+	tr := d.tr
+	start := uint64(d.processed)
+	if tr != nil && tr.spans {
+		tr.ring.Emit(flight.Event{Seq: start, Dur: uint32(len(refs)), Track: tr.driver, Cache: -1, Kind: flight.KindSpan, Arg: tr.decodeID})
+	}
+	for rest := refs; len(rest) > 0; {
+		n := len(rest)
+		if w := d.warmup; w > d.processed && w-d.processed < n {
+			n = w - d.processed
+		}
+		sampled := false
+		if tr != nil && tr.sample > 0 {
+			if gap := d.nextSample - uint64(d.processed); gap == 0 {
+				n, sampled = 1, true
+				d.nextSample += tr.sample
+			} else if gap < uint64(n) {
+				n = int(gap)
+			}
+		}
+		if err := d.apply(rest[:n], sampled); err != nil {
+			return err
+		}
+		rest = rest[n:]
+		d.processed += n
+		if d.processed == d.warmup {
+			// End of warm-up: keep all protocol state, measure only what
+			// follows.
+			d.resetStats()
+		}
+	}
+	if tr != nil && tr.spans {
+		for _, t := range tr.tracks {
+			tr.ring.Emit(flight.Event{Seq: start, Dur: uint32(len(refs)), Track: t, Cache: -1, Kind: flight.KindSpan, Arg: tr.simID})
+		}
+	}
+	return nil
+}
+
+// apply decodes each reference of a segment once and applies it to every
+// engine. Instruction fetches change no protocol state and contribute only
+// commutative sums, so when every engine is indexed they are counted and
+// flushed as one AccessInstrs call per segment (segments never span the
+// warm-up boundary). A sampled segment is the single reference record
+// applies instead.
+func (d *driver) apply(refs []trace.Ref, sampled bool) error {
+	coalesce := !sampled && len(d.fallback) == 0
+	instrs := uint64(0)
+	for i := range refs {
+		ref := &refs[i]
+		c := int(ref.CPU)
+		if d.byProcess {
+			// The map update must run for instruction fetches too:
+			// process-to-cache assignment is by order of first appearance
+			// in the full stream.
+			var ok bool
+			if c, ok = d.pidToCache[ref.PID]; !ok {
+				c = len(d.pidToCache)
+				d.pidToCache[ref.PID] = c
+			}
+		}
+		if c >= d.caches {
+			return fmt.Errorf("sim: reference needs cache %d but engines have %d caches", c, d.caches)
+		}
+		if ref.Kind == trace.Instr && coalesce {
+			instrs++
 			continue
 		}
-		// Plain stretch: up to the next sample point, the warm-up
-		// boundary or the end of the batch, exactly applyBatch's loop.
-		end := len(batch)
-		if nextSample != ^uint64(0) && uint64(end-i) > nextSample-seq {
-			end = i + int(nextSample-seq)
+		block := ref.Addr >> d.blockShift
+		var id blockid.ID
+		first := false
+		if ref.Kind != trace.Instr {
+			var fresh bool
+			id, fresh = d.tab.Intern(block)
+			first = fresh && !d.include
 		}
-		if warmup > processed && warmup-processed < end-i {
-			end = i + (warmup - processed)
+		if sampled {
+			d.record(c, ref.Kind, block, id, first)
+			continue
 		}
-		for _, r := range batch[i:end] {
-			for _, s := range engines {
-				if s.idx != nil {
-					s.idx.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-				} else {
-					s.eng.Access(r.cache, r.kind, r.block, r.first)
-				}
-			}
+		for _, e := range d.indexed {
+			e.AccessID(c, ref.Kind, block, id, first)
 		}
-		processed += end - i
-		i = end
-		if processed == warmup {
-			for _, s := range engines {
-				s.eng.ResetStats()
-			}
+		for _, e := range d.fallback {
+			e.Access(c, ref.Kind, block, first)
 		}
 	}
-	if tr.spans && len(batch) > 0 {
-		for _, t := range tracks {
-			ring.Emit(flight.Event{Seq: start, Dur: spanDur(uint64(len(batch))), Track: t, Cache: -1, Kind: flight.KindSpan, Arg: tr.simID})
+	if instrs > 0 {
+		for _, e := range d.indexed {
+			e.AccessInstrs(instrs)
 		}
 	}
-	return processed
+	return nil
+}
+
+// record applies the sampled reference at ordinal d.processed to every
+// engine and emits its Table 4 classification on the engine's track, plus
+// any directory protocol actions the access triggered — derived by
+// diffing the engine's own Stats counters around the call, so the engines
+// themselves are untouched and their tallies provably unchanged.
+func (d *driver) record(c int, kind trace.Kind, block uint64, id blockid.ID, first bool) {
+	seq := uint64(d.processed)
+	ring := d.tr.ring
+	for ei, s := range d.slots {
+		track := d.tr.tracks[ei]
+		st := s.eng.Stats()
+		di := st.DirectedInvals
+		bi := st.BroadcastInvals
+		pe := st.PointerEvictions
+		de := st.DirEntryEvictions
+		var typ events.Type
+		if s.idx != nil {
+			typ = s.idx.AccessID(c, kind, block, id, first)
+		} else {
+			typ = s.eng.Access(c, kind, block, first)
+		}
+		ring.Emit(flight.Event{Seq: seq, Block: block, Track: track, Cache: int16(c), Kind: flight.Kind(typ)})
+		if n := st.DirectedInvals - di; n > 0 {
+			ring.Emit(flight.Event{Seq: seq, Block: block, Arg: uint32(n), Track: track, Cache: int16(c), Kind: flight.KindInval})
+		}
+		if n := st.BroadcastInvals - bi; n > 0 {
+			ring.Emit(flight.Event{Seq: seq, Block: block, Arg: uint32(n), Track: track, Cache: int16(c), Kind: flight.KindBroadcast})
+		}
+		if n := st.PointerEvictions - pe; n > 0 {
+			ring.Emit(flight.Event{Seq: seq, Block: block, Arg: uint32(n), Track: track, Cache: int16(c), Kind: flight.KindPointerEviction})
+		}
+		if n := st.DirEntryEvictions - de; n > 0 {
+			ring.Emit(flight.Event{Seq: seq, Block: block, Arg: uint32(n), Track: track, Cache: int16(c), Kind: flight.KindDirOverflow})
+		}
+	}
+}
+
+func (d *driver) resetStats() {
+	for _, s := range d.slots {
+		s.eng.ResetStats()
+	}
 }
 
 // Run streams rd through every engine and returns one Result per engine,
 // in order. All engines must have the same cache count, and the trace
-// must fit within it. The context cancels the run between batches; with
-// opts.Parallel > 1 the engines run on worker goroutines, with results
-// identical to the sequential path.
+// must fit within it. The context cancels the run between chunks of
+// references.
 func Run(ctx context.Context, rd trace.Reader, engines []coherence.Engine, opts Options) ([]Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -576,16 +496,7 @@ func Run(ctx context.Context, rd trace.Reader, engines []coherence.Engine, opts 
 				e.Name(), e.Caches(), engines[0].Name(), caches)
 		}
 	}
-	d := newDecoder(rd, caches, opts)
-	slots := bindEngines(engines, d.tab)
-	tr := newRunTrace(opts.Recorder, engines)
-	var err error
-	if opts.workers(len(engines)) > 1 {
-		err = runParallel(ctx, d, slots, opts, tr)
-	} else {
-		err = runSequential(ctx, d, slots, opts, tr)
-	}
-	if err != nil {
+	if err := newDriver(rd, engines, caches, opts).run(ctx, opts.OnProgress); err != nil {
 		return nil, err
 	}
 	results := make([]Result, len(engines))
@@ -598,227 +509,8 @@ func Run(ctx context.Context, rd trace.Reader, engines []coherence.Engine, opts 
 	return results, nil
 }
 
-// runSequential is the classic driver: decode a batch, feed every engine
-// in lockstep, repeat.
-func runSequential(ctx context.Context, d *decoder, engines []engineSlot, opts Options, tr *runTrace) error {
-	if tr == nil && d.sr != nil && len(engines) == 1 && engines[0].idx != nil {
-		return runFusedSingle(ctx, d, engines[0].idx, opts)
-	}
-	var ring *flight.Ring
-	var tracks []uint16
-	if tr != nil {
-		ring = tr.rec.NewRing()
-		tracks = tr.tracks
-	}
-	buf := make([]decodedRef, 0, batchRefs)
-	processed := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		batch, err := d.nextBatch(buf)
-		if err != nil && err != io.EOF {
-			return err
-		}
-		if tr != nil && tr.spans && len(batch) > 0 {
-			ring.Emit(flight.Event{Seq: uint64(processed), Dur: spanDur(uint64(len(batch))), Track: tr.driver, Cache: -1, Kind: flight.KindSpan, Arg: tr.decodeID})
-		}
-		processed = applyBatchTraced(batch, engines, tracks, tr, ring, opts.WarmupRefs, processed)
-		if opts.OnProgress != nil && len(batch) > 0 {
-			opts.OnProgress(len(batch))
-		}
-		if err == io.EOF {
-			break
-		}
-	}
-	if processed < opts.WarmupRefs {
-		// The trace ended inside the warm-up window: nothing measured.
-		for _, s := range engines {
-			s.eng.ResetStats()
-		}
-	}
-	return nil
-}
-
-// runFusedSingle is runSequential specialised for one id-indexed engine
-// over an in-memory trace with no recorder attached: each reference is
-// decoded and applied in the same loop iteration, never materialised into
-// a decodedRef batch. The single-scheme run is the per-reference cost the
-// data-oriented core is measured on, and the batch round-trip (a store
-// and reload of every decoded reference) is a measurable slice of it.
-// Warm-up, progress and cancellation behave exactly as the batched path:
-// chunks of batchRefs references, split once at the warm-up boundary.
-func runFusedSingle(ctx context.Context, d *decoder, eng coherence.IndexedEngine, opts Options) error {
-	byProcess := d.opts.CacheBy == ByProcess
-	include := d.opts.IncludeFirstRefCosts
-	apply := func(refs []trace.Ref) error {
-		// Instruction fetches change no protocol state and contribute
-		// only commutative sums, so they are counted here and flushed as
-		// one AccessInstrs call per chunk (chunks never span a warm-up
-		// boundary — runFusedSingle splits there first).
-		instrs := uint64(0)
-		for i := range refs {
-			ref := &refs[i]
-			var c int
-			if byProcess {
-				// The map update must run for instruction fetches too:
-				// process-to-cache assignment is by order of first
-				// appearance in the full stream.
-				var ok bool
-				c, ok = d.pidToCache[ref.PID]
-				if !ok {
-					c = len(d.pidToCache)
-					d.pidToCache[ref.PID] = c
-				}
-			} else {
-				c = int(ref.CPU)
-			}
-			if c >= d.caches {
-				return fmt.Errorf("sim: reference needs cache %d but engines have %d caches", c, d.caches)
-			}
-			if ref.Kind == trace.Instr {
-				instrs++
-				continue
-			}
-			block := ref.Addr >> d.blockShift
-			id, fresh := d.tab.Intern(block)
-			eng.AccessID(c, ref.Kind, block, id, fresh && !include)
-		}
-		if instrs > 0 {
-			eng.AccessInstrs(instrs)
-		}
-		return nil
-	}
-	processed := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		chunk := d.sr.Take(batchRefs)
-		n := len(chunk)
-		if w := opts.WarmupRefs; w > processed && w <= processed+n {
-			if err := apply(chunk[:w-processed]); err != nil {
-				return err
-			}
-			eng.ResetStats()
-			chunk = chunk[w-processed:]
-		}
-		if err := apply(chunk); err != nil {
-			return err
-		}
-		processed += n
-		if opts.OnProgress != nil && n > 0 {
-			opts.OnProgress(n)
-		}
-		if n < batchRefs {
-			break
-		}
-	}
-	if processed < opts.WarmupRefs {
-		// The trace ended inside the warm-up window: nothing measured.
-		eng.ResetStats()
-	}
-	return nil
-}
-
-// runParallel decodes on the calling goroutine and fans each batch out to
-// a bounded set of workers, each owning a contiguous group of engines.
-// Batches arrive on every worker's channel in decode order, so each
-// engine processes the full stream in order and accumulates exactly the
-// same Stats as under runSequential.
-func runParallel(ctx context.Context, d *decoder, engines []engineSlot, opts Options, tr *runTrace) error {
-	workers := opts.workers(len(engines))
-	chans := make([]chan []decodedRef, workers)
-	var drvRing *flight.Ring
-	if tr != nil {
-		drvRing = tr.rec.NewRing()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Contiguous engine groups: the first len%workers groups take one
-		// extra engine.
-		lo := w * len(engines) / workers
-		hi := (w + 1) * len(engines) / workers
-		ch := make(chan []decodedRef, 4)
-		chans[w] = ch
-		var ring *flight.Ring
-		var tracks []uint16
-		if tr != nil {
-			// One ring per worker keeps emission single-writer.
-			ring = tr.rec.NewRing()
-			tracks = tr.tracks[lo:hi]
-		}
-		wg.Add(1)
-		go func(group []engineSlot, tracks []uint16, ring *flight.Ring) {
-			defer wg.Done()
-			processed := 0
-			for batch := range ch {
-				processed = applyBatchTraced(batch, group, tracks, tr, ring, opts.WarmupRefs, processed)
-			}
-		}(engines[lo:hi], tracks, ring)
-	}
-	var err error
-	total := 0
-decode:
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		// Workers read batches concurrently, so each batch needs its own
-		// backing array.
-		batch, derr := d.nextBatch(make([]decodedRef, 0, batchRefs))
-		if derr != nil && derr != io.EOF {
-			err = derr
-			break
-		}
-		if len(batch) > 0 {
-			if tr != nil && tr.spans {
-				drvRing.Emit(flight.Event{Seq: uint64(total), Dur: spanDur(uint64(len(batch))), Track: tr.driver, Cache: -1, Kind: flight.KindSpan, Arg: tr.decodeID})
-			}
-			for _, ch := range chans {
-				select {
-				case ch <- batch:
-				case <-ctx.Done():
-					err = ctx.Err()
-					break decode
-				}
-			}
-			total += len(batch)
-			if opts.OnProgress != nil {
-				opts.OnProgress(len(batch))
-			}
-		}
-		if derr == io.EOF {
-			break
-		}
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	if tr != nil && tr.spans && total > 0 {
-		// One span covering the whole fan-out on the driver track.
-		drvRing.Emit(flight.Event{Seq: 0, Dur: spanDur(uint64(total)), Track: tr.driver, Cache: -1, Kind: flight.KindSpan, Arg: tr.fanoutID})
-	}
-	if err != nil {
-		return err
-	}
-	if total < opts.WarmupRefs {
-		for _, s := range engines {
-			s.eng.ResetStats()
-		}
-	}
-	return nil
-}
-
-// RunSchemes builds the named engines and runs rd through them. With
-// opts.Partition > 1 the run is address-partitioned instead: see
-// Options.Partition.
+// RunSchemes builds the named engines and runs rd through them.
 func RunSchemes(ctx context.Context, rd trace.Reader, names []string, cfg coherence.Config, opts Options) ([]Result, error) {
-	if opts.Partition > 1 {
-		return runPartitionedSchemes(ctx, rd, names, cfg, opts)
-	}
 	engines := make([]coherence.Engine, len(names))
 	for i, n := range names {
 		e, err := coherence.NewByName(n, cfg)
@@ -828,165 +520,6 @@ func RunSchemes(ctx context.Context, rd trace.Reader, names []string, cfg cohere
 		engines[i] = e
 	}
 	return Run(ctx, rd, engines, opts)
-}
-
-// shardMsg is one partitioned work item: the shard's slice of a decoded
-// batch, plus a marker that the global warm-up boundary falls right after
-// these references (the shard must reset its tallies before continuing).
-type shardMsg struct {
-	refs  []decodedRef
-	reset bool
-}
-
-// runPartitionedSchemes is the address-partitioned driver: P instances of
-// every scheme, block ids sharded id mod P, instruction references to
-// shard 0 (they carry no block). With infinite caches and an unbounded
-// directory every engine's transition for a block reads and writes only
-// that block's state, so shard-local simulation composes exactly: merging
-// the P instances' Stats with Combine reproduces the sequential run's
-// tallies bit for bit (asserted by TestPartitionMatchesSequential).
-func runPartitionedSchemes(ctx context.Context, rd trace.Reader, names []string, cfg coherence.Config, opts Options) ([]Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("sim: no engines")
-	}
-	if cfg.Finite() || cfg.DirEntries > 0 {
-		return nil, fmt.Errorf("sim: Partition requires infinite caches and an unbounded directory (replacement couples blocks across shards)")
-	}
-	if opts.Recorder != nil && opts.Recorder.Enabled() {
-		return nil, fmt.Errorf("sim: Partition cannot be combined with a flight recorder")
-	}
-	p := opts.Partition
-	d := newDecoder(rd, cfg.Caches, opts)
-	insts := make([][]engineSlot, p)
-	for s := 0; s < p; s++ {
-		slots := make([]engineSlot, len(names))
-		for i, n := range names {
-			e, err := coherence.NewByName(n, cfg)
-			if err != nil {
-				return nil, err
-			}
-			ie, ok := e.(coherence.IndexedEngine)
-			if !ok || !ie.BindBlocks(d.tab) {
-				return nil, fmt.Errorf("sim: scheme %s does not support indexed access", n)
-			}
-			slots[i] = engineSlot{eng: e, idx: ie}
-		}
-		insts[s] = slots
-	}
-	chans := make([]chan shardMsg, p)
-	var wg sync.WaitGroup
-	for s := 0; s < p; s++ {
-		ch := make(chan shardMsg, 4)
-		chans[s] = ch
-		wg.Add(1)
-		go func(slots []engineSlot) {
-			defer wg.Done()
-			for msg := range ch {
-				for _, r := range msg.refs {
-					for _, sl := range slots {
-						sl.idx.AccessID(r.cache, r.kind, r.block, r.id, r.first)
-					}
-				}
-				if msg.reset {
-					for _, sl := range slots {
-						sl.eng.ResetStats()
-					}
-				}
-			}
-		}(insts[s])
-	}
-	var err error
-	total := 0
-decode:
-	for {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		batch, derr := d.nextBatch(make([]decodedRef, 0, batchRefs))
-		if derr != nil && derr != io.EOF {
-			err = derr
-			break
-		}
-		if len(batch) > 0 {
-			// If the global warm-up boundary falls inside this batch,
-			// split there: each shard processes its pre-boundary refs,
-			// resets, then continues — the same point in the global
-			// stream where the sequential driver resets.
-			split := -1
-			if w := opts.WarmupRefs; w > total && w <= total+len(batch) {
-				split = w - total
-			}
-			segments := [][2]int{{0, len(batch)}}
-			if split >= 0 {
-				segments = [][2]int{{0, split}, {split, len(batch)}}
-			}
-			for si, seg := range segments {
-				reset := split >= 0 && si == 0
-				shards := make([][]decodedRef, p)
-				for _, r := range batch[seg[0]:seg[1]] {
-					s := 0
-					if r.kind != trace.Instr {
-						s = int(r.id) % p
-					}
-					shards[s] = append(shards[s], r)
-				}
-				for s, ch := range chans {
-					if len(shards[s]) == 0 && !reset {
-						continue
-					}
-					select {
-					case ch <- shardMsg{refs: shards[s], reset: reset}:
-					case <-ctx.Done():
-						err = ctx.Err()
-						break decode
-					}
-				}
-			}
-			total += len(batch)
-			if opts.OnProgress != nil {
-				opts.OnProgress(len(batch))
-			}
-		}
-		if derr == io.EOF {
-			break
-		}
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	if err != nil {
-		return nil, err
-	}
-	if total < opts.WarmupRefs {
-		// The trace ended inside the warm-up window: nothing measured.
-		for _, slots := range insts {
-			for _, sl := range slots {
-				sl.eng.ResetStats()
-			}
-		}
-	}
-	results := make([]Result, len(names))
-	for i := range names {
-		parts := make([]Result, p)
-		for s := 0; s < p; s++ {
-			e := insts[s][i].eng
-			parts[s] = Result{Scheme: e.Name(), Stats: e.Stats()}
-			if adj, ok := e.(coherence.ModelAdjuster); ok {
-				parts[s].adjust = adj.AdjustModel
-			}
-		}
-		combined, cerr := Combine(parts)
-		if cerr != nil {
-			return nil, cerr
-		}
-		results[i] = combined
-	}
-	return results, nil
 }
 
 // Combine merges per-trace results for the same scheme into one aggregate,

@@ -33,8 +33,8 @@ import (
 )
 
 // Sim is the serialisable subset of sim.Options a cell may set. The
-// driver-tuning knobs (Parallel, OnProgress) deliberately stay out: they
-// change how a result is computed, never what it is, so they must not
+// observers (OnProgress, Recorder) deliberately stay out: they watch how
+// a result is computed, never change what it is, so they must not
 // perturb the cache key.
 type Sim struct {
 	// BlockBytes overrides the coherence block size (0 = the paper's 16).
