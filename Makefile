@@ -79,11 +79,18 @@ serve:
 # ephemeral port, submit a small POPS/Dir1NB job and wait for it, then
 # re-submit the identical spec and prove the content-addressed cache
 # served it — the response bytes match and /metrics shows zero new
-# runner jobs — and finally SIGTERM the daemon and require a clean
+# runner jobs. Then `sweep -remote` and `paper -remote` run against the
+# daemon (a one-peer fleet) and must reproduce the local sweep CSV and
+# report byte for byte. Finally SIGTERM the daemon and require a clean
 # (exit 0) drain.
 serve-smoke:
 	rm -rf serve-smoke.tmp && mkdir serve-smoke.tmp
 	$(GO) build -o serve-smoke.tmp/dirsimd ./cmd/dirsimd
+	$(GO) build -o serve-smoke.tmp/sweep ./cmd/sweep
+	$(GO) build -o serve-smoke.tmp/paper ./cmd/paper
+	./serve-smoke.tmp/sweep -workloads pops,pero -schemes dir0b,dragon -cpus 2,4 \
+		-refs 6000 -seeds 2 -parallel 2 -o serve-smoke.tmp/local.csv
+	./serve-smoke.tmp/paper -refs 20000 -parallel 2 -o serve-smoke.tmp/local-paper.txt
 	set -e; \
 	./serve-smoke.tmp/dirsimd -addr 127.0.0.1:0 \
 		-ready-file serve-smoke.tmp/addr -cache-dir serve-smoke.tmp/cache \
@@ -106,6 +113,13 @@ serve-smoke:
 	j1=$$(grep -o '"jobs_total":[0-9]*' serve-smoke.tmp/m1.json); \
 	j2=$$(grep -o '"jobs_total":[0-9]*' serve-smoke.tmp/m2.json); \
 	test -n "$$j1" && test "$$j1" = "$$j2"; \
+	./serve-smoke.tmp/sweep -remote http://$$addr -workloads pops,pero \
+		-schemes dir0b,dragon -cpus 2,4 -refs 6000 -seeds 2 -parallel 2 \
+		-o serve-smoke.tmp/remote.csv; \
+	cmp serve-smoke.tmp/local.csv serve-smoke.tmp/remote.csv; \
+	./serve-smoke.tmp/paper -remote http://$$addr -refs 20000 -parallel 2 \
+		-o serve-smoke.tmp/remote-paper.txt; \
+	cmp serve-smoke.tmp/local-paper.txt serve-smoke.tmp/remote-paper.txt; \
 	kill -TERM $$pid; \
 	wait $$pid; \
 	trap - EXIT; \

@@ -95,7 +95,7 @@ func main() {
 	flush := func() error {
 		flushOnce.Do(func() {
 			if rec != nil {
-				if err := writeTrace(*traceOut, rec); err != nil {
+				if err := flight.WriteFile(*traceOut, rec); err != nil {
 					flushErr = err
 				}
 			}
@@ -177,20 +177,6 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 		return stopErr
 	}
 	return stop, nil
-}
-
-// writeTrace exports the recorder crash-safely; the extension picks the
-// format (see flight.FormatForPath).
-func writeTrace(path string, rec *flight.Recorder) error {
-	f, err := atomicio.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := flight.Write(f, path, rec); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
 }
 
 // options collects the command's flags.

@@ -30,6 +30,8 @@ import (
 
 	"dirsim/internal/atomicio"
 	"dirsim/internal/bus"
+	"dirsim/internal/cellexec"
+	"dirsim/internal/cluster"
 	"dirsim/internal/coherence"
 	"dirsim/internal/directory"
 	"dirsim/internal/flight"
@@ -232,6 +234,23 @@ func combineAcross(perTrace [][]sim.Result) ([]sim.Result, error) {
 	return combined, nil
 }
 
+// presetCells builds one cell per workload preset: the same scheme set in
+// lockstep over each (optionally filtered) trace.
+func presetCells(presets []tracegen.Config, filter string, schemes []string,
+	cfg coherence.Config, s spec.Sim) []spec.Cell {
+	cells := make([]spec.Cell, len(presets))
+	for i, p := range presets {
+		cells[i] = spec.Cell{
+			Trace:   p,
+			Filter:  filter,
+			Schemes: append([]string(nil), schemes...),
+			Machine: cfg,
+			Sim:     s,
+		}
+	}
+	return cells
+}
+
 func run(ctx context.Context, w io.Writer, o options) error {
 	refs, cpus := o.refs, o.cpus
 	timing := bus.DefaultTiming()
@@ -268,18 +287,31 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		defer fmt.Fprintln(o.progressW)
 	}
 
-	// Every cell-shaped section executes through this seam: locally on
-	// the runner pool, or on a dirsimd daemon with -remote.
-	var sink *traceSink
-	if o.traceOut != "" {
-		if o.remote != "" {
+	// Every cell-shaped section executes through the one cell seam:
+	// locally on the runner pool, or with -remote on a dirsimd daemon —
+	// a one-peer fleet, retried on the -retries/-retry-base schedule.
+	var exec cellexec.Exec
+	var sink *cellexec.Sink
+	if o.remote != "" {
+		if o.traceOut != "" {
 			return fmt.Errorf("-remote cannot be combined with -trace-out: run the daemon with -trace-sample and fetch /v1/jobs/{id}/trace instead")
 		}
-		sink = &traceSink{sample: o.traceSample, spans: o.spans}
-	}
-	exec := localExec(ropts, sink)
-	if o.remote != "" {
-		exec = remoteExec(o.remote, o.parallel)
+		mem := cluster.Membership{Peers: []cluster.Peer{{Addr: o.remote}}}
+		if err := mem.Validate(); err != nil {
+			return fmt.Errorf("-remote: %w", err)
+		}
+		exec = cellexec.Fleet(&cluster.Client{
+			Membership: mem,
+			Router:     cluster.NewRouter(mem, nil),
+			APIKey:     os.Getenv("DIRSIM_API_KEY"),
+			Retry:      ropts.Retry,
+			Sleep:      o.sleep,
+		}, o.parallel)
+	} else {
+		if o.traceOut != "" {
+			sink = &cellexec.Sink{Sample: o.traceSample, Spans: o.spans}
+		}
+		exec = cellexec.Local(ropts, nil, sink)
 	}
 
 	fmt.Fprintf(w, "Reproduction of: An Evaluation of Directory Schemes for Cache Coherence\n")
@@ -318,7 +350,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	var dir0b sim.Result
 	s.do("core-runs", func() error {
 		var err error
-		perTrace, err = exec(ctx, presetCells(presets, "",
+		perTrace, err = cellexec.Collect(ctx, exec, presetCells(presets, "",
 			append(append([]string{}, section3Schemes...), "berkeley"), cfg, spec.Sim{}))
 		if err != nil {
 			return err
@@ -388,7 +420,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			return err
 		}
 		with := []sim.Result{combined[0], dir0b}
-		withoutGroups, err := exec(ctx, presetCells(presets, "droplockspins",
+		withoutGroups, err := cellexec.Collect(ctx, exec, presetCells(presets, "droplockspins",
 			[]string{"dir1nb", "dir0b"}, cfg, spec.Sim{}))
 		if err != nil {
 			return err
@@ -405,7 +437,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	// preset, plus the Dir1B broadcast-cost sweep over the same results.
 	s.do("section6", func() error {
 		sec6Schemes := []string{"dir0b", "dirnnb", "dir1b", "dir2b", "dir2nb", "dir4nb", "codedset"}
-		sec6Groups, err := exec(ctx, presetCells(presets, "", sec6Schemes, cfg, spec.Sim{}))
+		sec6Groups, err := cellexec.Collect(ctx, exec, presetCells(presets, "", sec6Schemes, cfg, spec.Sim{}))
 		if err != nil {
 			return err
 		}
@@ -485,7 +517,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	// protocols (Goodman write-once, Illinois MESI, Firefly).
 	s.do("zoo", func() error {
 		zooSchemes := []string{"wti", "readbroadcast", "writeonce", "mesi", "moesi", "dragon", "firefly", "competitive4", "dir0b", "dirnnb"}
-		zooGroups, err := exec(ctx, presetCells(presets, "", zooSchemes, cfg, spec.Sim{}))
+		zooGroups, err := cellexec.Collect(ctx, exec, presetCells(presets, "", zooSchemes, cfg, spec.Sim{}))
 		if err != nil {
 			return err
 		}
@@ -582,7 +614,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 				Machine: coherence.Config{Caches: n},
 			}
 		}
-		bigRes, err := exec(ctx, bigCells)
+		bigRes, err := cellexec.Collect(ctx, exec, bigCells)
 		if err != nil {
 			return err
 		}
@@ -670,7 +702,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 				})
 			}
 		}
-		lockRes, err := exec(ctx, lockCells)
+		lockRes, err := cellexec.Collect(ctx, exec, lockCells)
 		if err != nil {
 			return err
 		}
@@ -715,7 +747,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 				Machine: coherence.Config{Caches: cpus, DirEntries: entries},
 			}
 		}
-		sparseRes, err := exec(ctx, sparseCells)
+		sparseRes, err := cellexec.Collect(ctx, exec, sparseCells)
 		if err != nil {
 			return err
 		}
@@ -755,7 +787,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 				Sim:     spec.Sim{IncludeFirstRefCosts: true, WarmupRefs: refs / 2},
 			}
 		}
-		finiteRes, err := exec(ctx, finiteCells)
+		finiteRes, err := cellexec.Collect(ctx, exec, finiteCells)
 		if err != nil {
 			return err
 		}
@@ -820,7 +852,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 	}
 	if sink != nil {
-		if err := writeTrace(o.traceOut, sink.recorders()); err != nil {
+		if err := flight.WriteFile(o.traceOut, sink.Recorders()...); err != nil {
 			return err
 		}
 	}

@@ -25,11 +25,11 @@
 //	sweep ... -cluster peers.json > sweep.csv
 //	sweep ... -cluster peers.json -trace fleet.json > sweep.csv
 //
-// With -remote the grid is submitted to a dirsimd daemon as one sweep
-// spec and rows are rebuilt from the returned result document — byte
-// identical to a local run of the same grid. Fault-injection and
-// checkpoint flags are local-execution concerns and refuse to combine
-// with -remote.
+// With -remote the grid runs on one dirsimd daemon — a one-peer fleet,
+// driven cell by cell exactly like -cluster — and rows are rebuilt from
+// the returned result documents, byte identical to a local run of the
+// same grid. Fault-injection and checkpoint flags are local-execution
+// concerns and refuse to combine with -remote or -cluster.
 //
 // With -cluster the grid is partitioned across a dirsimd fleet: each
 // cell is submitted to its rendezvous-hash owner, hedged onto the next
@@ -63,12 +63,12 @@ import (
 
 	"dirsim/internal/atomicio"
 	"dirsim/internal/bus"
+	"dirsim/internal/cellexec"
 	"dirsim/internal/cluster"
 	"dirsim/internal/faults"
 	"dirsim/internal/flight"
 	"dirsim/internal/obs"
 	"dirsim/internal/otrace"
-	"dirsim/internal/remote"
 	"dirsim/internal/runner"
 	"dirsim/internal/sim"
 	"dirsim/internal/spec"
@@ -291,6 +291,9 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	if o.refs <= 0 || o.seeds <= 0 {
 		return fmt.Errorf("refs and seeds must be positive")
 	}
+	if o.progressW == nil {
+		o.progressW = os.Stderr
+	}
 	var cpuList []int
 	for _, c := range strings.Split(o.cpus, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(c))
@@ -334,14 +337,6 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			cpus:     specCells[i].Trace.CPUs,
 		})
 	}
-	allJobs := make([]runner.Job, len(specCells))
-	for i, c := range specCells {
-		j, err := c.Job()
-		if err != nil {
-			return err
-		}
-		allJobs[i] = j
-	}
 
 	if o.remote != "" && o.cluster != "" {
 		return fmt.Errorf("-remote and -cluster are mutually exclusive: a cluster file already names the daemons")
@@ -365,11 +360,11 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		return fmt.Errorf("-trace requires -cluster: a single daemon's trace is served by GET /v1/jobs/{id}/trace")
 	}
 
-	// values[i] holds job i's per-scheme metric values — prefilled from
-	// the checkpoint on -resume, filled by OnResult otherwise. failed[i]
-	// marks jobs whose final attempt errored.
-	values := make([][]float64, len(allJobs))
-	failed := make([]bool, len(allJobs))
+	// values[i] holds cell i's per-scheme metric values — prefilled from
+	// the checkpoint on -resume, filled as cells finish otherwise.
+	// failed[i] marks cells whose final attempt errored.
+	values := make([][]float64, len(specCells))
+	failed := make([]bool, len(specCells))
 	ck := checkpointFile{
 		Workloads: o.workloads, Schemes: o.schemes, Cpus: o.cpus,
 		Refs: o.refs, Seeds: o.seeds, Jobs: map[string][]float64{},
@@ -392,7 +387,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 		for k, vals := range old.Jobs {
 			i, err := strconv.Atoi(k)
-			if err != nil || i < 0 || i >= len(allJobs) || len(vals) != len(schemeList) {
+			if err != nil || i < 0 || i >= len(specCells) || len(vals) != len(schemeList) {
 				return fmt.Errorf("-resume: corrupt checkpoint entry %q in %s", k, o.checkpoint)
 			}
 			values[i] = vals
@@ -400,54 +395,20 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 	}
 
-	// Fault injection: trace faults scope to -fault-jobs (default all),
-	// panics to -fault-panic, both keyed by global job index so a resumed
-	// run with no fault flags replays the same cells cleanly.
-	faultSet, err := parseIndexSet(o.faultJobs)
+	// Pick the executor; everything after it — rows, checkpoint,
+	// manifest, traces — is the same whichever one runs the cells.
+	var (
+		exec  cellexec.Exec
+		sink  *cellexec.Sink
+		fleet cluster.Membership
+	)
+	if o.remote != "" || o.cluster != "" {
+		fleet, exec, err = buildFleet(o)
+	} else if exec, sink, err = buildLocal(o); err == nil && o.progress {
+		defer fmt.Fprintln(o.progressW)
+	}
 	if err != nil {
-		return fmt.Errorf("-fault-jobs: %w", err)
-	}
-	panicSet, err := parseIndexSet(o.faultPanic)
-	if err != nil {
-		return fmt.Errorf("-fault-panic: %w", err)
-	}
-	injectTrace := o.faultCorrupt > 0 || o.faultTruncate > 0
-	wrapSource := func(gi int, src func() (trace.Reader, error)) func() (trace.Reader, error) {
-		cfg := faults.Config{Seed: o.faultSeed + int64(gi)}
-		active := false
-		if injectTrace && (faultSet == nil || faultSet[gi]) {
-			cfg.CorruptProb = o.faultCorrupt
-			cfg.TruncateAfter = o.faultTruncate
-			active = true
-		}
-		if panicSet[gi] {
-			cfg.PanicAfter = o.refs/2 + 1
-			active = true
-		}
-		if !active {
-			return src
-		}
-		return func() (trace.Reader, error) {
-			rd, err := src()
-			if err != nil {
-				return nil, err
-			}
-			return faults.Wrap(rd, cfg), nil
-		}
-	}
-
-	// Submit only jobs without checkpointed values; submitIdx maps pool
-	// index back to global grid index.
-	var submit []runner.Job
-	var submitIdx []int
-	for gi := range allJobs {
-		if values[gi] != nil {
-			continue
-		}
-		j := allJobs[gi]
-		j.Source = wrapSource(gi, j.Source)
-		submit = append(submit, j)
-		submitIdx = append(submitIdx, gi)
+		return err
 	}
 
 	cw := csv.NewWriter(w)
@@ -458,9 +419,8 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		return err
 	}
 
-	// Rows stream in grid order: OnResult/OnError arrive in submit order
-	// (which preserves grid order), so cells resolve front to back. A
-	// cell flushes the moment its last seed lands; a cell with any failed
+	// Rows stream in grid order whatever order cells finish in: a cell
+	// flushes the moment its last seed lands; a cell with any failed
 	// seed emits no rows and is skipped — its failure is in the manifest
 	// and a -resume replays it.
 	var rowErr error
@@ -525,215 +485,43 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		}
 	}
 
-	// Remote mode: ship the whole grid to the daemon as one sweep spec,
-	// rebuild priceable results from the document, and stream the same
-	// rows the local path would — byte for byte.
-	if o.remote != "" {
-		// Daemon saturation (429 quota/queue-full, 503 restart) is
-		// absorbed on the same deterministic retry schedule the local
-		// runner uses, honouring the daemon's Retry-After.
-		client := &remote.Client{
-			BaseURL: o.remote,
-			APIKey:  o.apiKey,
-			Retry:   runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
-			Sleep:   o.sleep,
-		}
-		results, err := client.RunCells(ctx, spec.Request{Sweep: &sw})
-		if err != nil {
-			return err
-		}
-		for gi, rs := range results {
-			vals := make([]float64, len(rs))
-			for k, r := range rs {
-				vals[k] = metric(r)
-			}
-			values[gi] = vals
-		}
-		emit()
-		if rowErr != nil {
-			return rowErr
-		}
-		cw.Flush()
-		if err := cw.Error(); err != nil {
-			return err
-		}
-		if o.manifest != "" {
-			// A remote run either succeeds whole or fails the command:
-			// the manifest records a clean slate for tooling that expects
-			// one.
-			if err := runner.NewManifest("sweep", len(allJobs)).Write(o.manifest); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Cluster mode: partition the grid across the fleet by cell
-	// ownership. Each cell goes to its rendezvous-hash owner (hedged and
-	// failed over per the cluster client), results convert through the
-	// same remote.Results path, and emit() streams rows in grid order
-	// regardless of completion order — so the CSV is byte-identical to a
-	// single-node or local run.
-	if o.cluster != "" {
-		mem, err := cluster.LoadMembership(o.cluster)
-		if err != nil {
-			return err
-		}
-		health := cluster.NewHealth()
-		// With -trace the client records its own cell/attempt spans into
-		// the shared store; the trace id of each cell is its content hash,
-		// which is how the daemons' spans are found again afterwards.
-		var tracer *otrace.Tracer
-		clusterMetrics := obs.NewMetrics()
-		if o.fleetStore != nil {
-			tracer = otrace.New("sweep", func() int64 { return time.Now().UnixNano() }, o.fleetStore, clusterMetrics)
-		}
-		cc := &cluster.Client{
-			Membership: mem,
-			Router:     cluster.NewRouter(mem, health),
-			Health:     health,
-			APIKey:     o.apiKey,
-			Retry:      runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
-			Sleep:      o.sleep,
-			HedgeDelay: o.hedge,
-			After:      time.After,
-			Tracer:     tracer,
-			Metrics:    clusterMetrics,
-		}
-		// -parallel is per-daemon concurrency; the fleet multiplies it.
-		workers := o.parallel * len(mem.Peers)
-		var convErr error
-		runErr := cc.RunCells(ctx, specCells, workers, func(gi int, doc *spec.ResultDoc, err error) {
-			// onDone is serialized by the cluster client. Failures are
-			// reported by RunCells's return; conversion errors are ours.
-			if err != nil || convErr != nil {
-				return
-			}
-			rs, err := remote.Results(doc, specCells[gi:gi+1])
-			if err != nil {
-				convErr = fmt.Errorf("cell %d (%s): %w", gi, specCells[gi].Label(), err)
-				return
-			}
-			vals := make([]float64, len(rs[0]))
-			for k, r := range rs[0] {
-				vals[k] = metric(r)
-			}
-			values[gi] = vals
-			emit()
-		})
-		switch {
-		case runErr != nil:
-			return runErr
-		case convErr != nil:
-			return convErr
-		case rowErr != nil:
-			return rowErr
-		}
-		cw.Flush()
-		if err := cw.Error(); err != nil {
-			return err
-		}
-		if o.manifest != "" {
-			// Like -remote: a clustered run succeeds whole or fails the
-			// command, so the manifest records a clean slate.
-			if err := runner.NewManifest("sweep", len(allJobs)).Write(o.manifest); err != nil {
-				return err
-			}
-		}
-		if o.fleetStore != nil {
-			collectFleetSpans(ctx, mem, specCells, o.fleetStore)
-		}
-		return nil
-	}
-
-	man := runner.NewManifest("sweep", len(allJobs))
-	ropts := runner.Options{
-		Workers:      o.parallel,
-		JobTimeout:   o.jobTimeout,
-		StallTimeout: o.stallTimeout,
-		Retry: runner.RetryPolicy{
-			Max:  o.retries + 1,
-			Base: o.retryBase,
-			Seed: o.faultSeed,
-		},
-		Sleep: o.sleep,
-		OnResult: func(si int, rs []sim.Result) {
-			gi := submitIdx[si]
-			vals := make([]float64, len(rs))
-			for k, r := range rs {
-				vals[k] = metric(r)
-			}
-			values[gi] = vals
-			ck.Jobs[strconv.Itoa(gi)] = vals
-			saveCheckpoint()
-			emit()
-		},
-		OnError: func(si int, err error) {
-			gi := submitIdx[si]
-			failed[gi] = true
-			man.Record(gi, allJobs[gi].Label, err)
-			emit()
-		},
-	}
-	// One recorder per pool job, created fresh per attempt so a retried
-	// job's trace is always the attempt that produced its results. Pid is
-	// the global grid index, which groups each job's tracks in the export.
-	var recorders []*flight.Recorder
-	if o.traceOut != "" {
-		recorders = make([]*flight.Recorder, len(submit))
-		ropts.TraceFor = func(index, attempt int) *flight.Recorder {
-			gi := submitIdx[index]
-			rec := flight.New(flight.Options{
-				Sample: o.traceSample, Spans: o.spans,
-				Pid: gi, Label: allJobs[gi].Label,
-			})
-			recorders[index] = rec
-			return rec
+	// Run only the cells without checkpointed values. Cells fully
+	// satisfied by the checkpoint flush before any of them runs.
+	var todo []int
+	for i := range specCells {
+		if values[i] == nil {
+			todo = append(todo, i)
 		}
 	}
-	if o.faultTransient > 0 {
-		n := o.faultTransient
-		ropts.TransientFault = func(si, attempt int) error {
-			if attempt <= n {
-				return runner.Transient(fmt.Errorf("injected transient fault (attempt %d)", attempt))
-			}
-			return nil
-		}
-	}
-	if o.progress {
-		pw := o.progressW
-		if pw == nil {
-			pw = os.Stderr
-		}
-		m := obs.NewMetrics()
-		start := time.Now()
-		th := obs.NewThrottle(200*time.Millisecond, func() int64 { return time.Now().UnixNano() })
-		ropts.Metrics = m
-		ropts.Progress = func() {
-			if th.Ready() {
-				s := m.Snapshot()
-				fmt.Fprintf(pw, "\rjobs %d/%d  %d refs (%.0f refs/s)  retries %d  failures %d ",
-					s.JobsDone, s.JobsTotal, s.Refs, s.RefsPerSec(time.Since(start)),
-					s.Retries, s.Failures)
-			}
-		}
-		defer fmt.Fprintln(pw)
-	}
-
-	// Cells fully satisfied by the checkpoint flush before any job runs.
 	emit()
 	if rowErr != nil {
 		return rowErr
 	}
-	if _, err := runner.Run(ctx, submit, ropts); err != nil {
+	man := runner.NewManifest("sweep", len(specCells))
+	err = exec(ctx, specCells, todo, func(i int, rs []sim.Result, err error) {
+		if err != nil {
+			failed[i] = true
+			man.Record(i, specCells[i].Label(), err)
+		} else {
+			vals := make([]float64, len(rs))
+			for k, r := range rs {
+				vals[k] = metric(r)
+			}
+			values[i] = vals
+			ck.Jobs[strconv.Itoa(i)] = vals
+			saveCheckpoint()
+		}
+		emit()
+	})
+	if err != nil {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
 		if !jobFailuresOnly(err) {
 			return err
 		}
-		// Per-job failures were already delivered through OnError and
-		// recorded in the manifest; the degraded path below reports them.
+		// Per-cell failures of a local run were already recorded in the
+		// manifest; the degraded path below reports them.
 	}
 	if rowErr != nil {
 		return rowErr
@@ -747,16 +535,144 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			return err
 		}
 	}
-	if o.traceOut != "" {
-		if err := writeTrace(o.traceOut, recorders); err != nil {
+	if sink != nil {
+		if err := flight.WriteFile(o.traceOut, sink.Recorders()...); err != nil {
 			return err
 		}
 	}
+	if o.fleetStore != nil {
+		collectFleetSpans(ctx, fleet, specCells, o.fleetStore)
+	}
 	if man.Failed > 0 {
 		return fmt.Errorf("%w: %d of %d jobs failed; partial results written, rerun with -resume to fill the gaps",
-			errDegraded, man.Failed, len(allJobs))
+			errDegraded, man.Failed, len(specCells))
 	}
 	return nil
+}
+
+// buildFleet builds the executor for -remote (a one-peer fleet) and
+// -cluster: each cell goes to its rendezvous-hash owner, hedged onto the
+// next peer after -hedge and failed over when a daemon dies mid-sweep.
+// Daemon saturation (429 quota/queue-full, 503 restart) is absorbed on
+// the same deterministic retry schedule the local runner uses,
+// honouring the daemon's Retry-After. A fleet run succeeds whole or
+// fails the command.
+func buildFleet(o options) (cluster.Membership, cellexec.Exec, error) {
+	mem := cluster.Membership{Peers: []cluster.Peer{{Addr: o.remote}}}
+	if o.cluster != "" {
+		var err error
+		if mem, err = cluster.LoadMembership(o.cluster); err != nil {
+			return mem, nil, err
+		}
+	} else if err := mem.Validate(); err != nil {
+		return mem, nil, fmt.Errorf("-remote: %w", err)
+	}
+	health := cluster.NewHealth()
+	// With -trace the client records its own cell/attempt spans into the
+	// shared store; the trace id of each cell is its content hash, which
+	// is how the daemons' spans are found again afterwards.
+	var tracer *otrace.Tracer
+	clusterMetrics := obs.NewMetrics()
+	if o.fleetStore != nil {
+		tracer = otrace.New("sweep", func() int64 { return time.Now().UnixNano() }, o.fleetStore, clusterMetrics)
+	}
+	cc := &cluster.Client{
+		Membership: mem,
+		Router:     cluster.NewRouter(mem, health),
+		Health:     health,
+		APIKey:     o.apiKey,
+		Retry:      runner.RetryPolicy{Max: o.retries + 1, Base: o.retryBase, Seed: 1},
+		Sleep:      o.sleep,
+		HedgeDelay: o.hedge,
+		After:      time.After,
+		Tracer:     tracer,
+		Metrics:    clusterMetrics,
+	}
+	// -parallel is per-daemon concurrency; the fleet multiplies it.
+	return mem, cellexec.Fleet(cc, o.parallel*len(mem.Peers)), nil
+}
+
+// buildLocal builds the in-process executor: the runner pool with the
+// command's retry, deadline, progress and fault-injection settings, and
+// with -trace-out a flight recorder per job whose pid is the job's
+// global grid index.
+func buildLocal(o options) (cellexec.Exec, *cellexec.Sink, error) {
+	// Fault injection: trace faults scope to -fault-jobs (default all),
+	// panics to -fault-panic, both keyed by global job index so a resumed
+	// run with no fault flags replays the same cells cleanly.
+	faultSet, err := parseIndexSet(o.faultJobs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-fault-jobs: %w", err)
+	}
+	panicSet, err := parseIndexSet(o.faultPanic)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-fault-panic: %w", err)
+	}
+	injectTrace := o.faultCorrupt > 0 || o.faultTruncate > 0
+	prepare := func(gi int, j *runner.Job) {
+		cfg := faults.Config{Seed: o.faultSeed + int64(gi)}
+		active := false
+		if injectTrace && (faultSet == nil || faultSet[gi]) {
+			cfg.CorruptProb = o.faultCorrupt
+			cfg.TruncateAfter = o.faultTruncate
+			active = true
+		}
+		if panicSet[gi] {
+			cfg.PanicAfter = o.refs/2 + 1
+			active = true
+		}
+		if !active {
+			return
+		}
+		src := j.Source
+		j.Source = func() (trace.Reader, error) {
+			rd, err := src()
+			if err != nil {
+				return nil, err
+			}
+			return faults.Wrap(rd, cfg), nil
+		}
+	}
+
+	ropts := runner.Options{
+		Workers:      o.parallel,
+		JobTimeout:   o.jobTimeout,
+		StallTimeout: o.stallTimeout,
+		Retry: runner.RetryPolicy{
+			Max:  o.retries + 1,
+			Base: o.retryBase,
+			Seed: o.faultSeed,
+		},
+		Sleep: o.sleep,
+	}
+	if o.faultTransient > 0 {
+		n := o.faultTransient
+		ropts.TransientFault = func(_, attempt int) error {
+			if attempt <= n {
+				return runner.Transient(fmt.Errorf("injected transient fault (attempt %d)", attempt))
+			}
+			return nil
+		}
+	}
+	if o.progress {
+		m := obs.NewMetrics()
+		start := time.Now()
+		th := obs.NewThrottle(200*time.Millisecond, func() int64 { return time.Now().UnixNano() })
+		ropts.Metrics = m
+		ropts.Progress = func() {
+			if th.Ready() {
+				s := m.Snapshot()
+				fmt.Fprintf(o.progressW, "\rjobs %d/%d  %d refs (%.0f refs/s)  retries %d  failures %d ",
+					s.JobsDone, s.JobsTotal, s.Refs, s.RefsPerSec(time.Since(start)),
+					s.Retries, s.Failures)
+			}
+		}
+	}
+	var sink *cellexec.Sink
+	if o.traceOut != "" {
+		sink = &cellexec.Sink{Sample: o.traceSample, Spans: o.spans}
+	}
+	return cellexec.Local(ropts, prepare, sink), sink, nil
 }
 
 // collectFleetSpans asks every fleet member for its spans of every
@@ -850,20 +766,6 @@ func pruneOrphans(spans []otrace.Span) []otrace.Span {
 		}
 		spans = keep
 	}
-}
-
-// writeTrace exports every job's recorder (nils from never-started jobs
-// elided by the writer) crash-safely; the extension picks the format.
-func writeTrace(path string, recs []*flight.Recorder) error {
-	f, err := atomicio.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := flight.Write(f, path, recs...); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
 }
 
 // jobFailuresOnly reports whether err (possibly an errors.Join tree)

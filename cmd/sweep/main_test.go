@@ -6,9 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"dirsim/internal/flight"
 	"dirsim/internal/runner"
 )
 
@@ -207,4 +209,100 @@ func TestResumeRejectsMismatchedGrid(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "different grid") {
 		t.Fatalf("mismatched grid accepted: %v", err)
 	}
+}
+
+// -trace-out must not perturb the CSV, and every job's recorder carries
+// its global grid index as pid — also after -resume, whose re-run jobs
+// must trace exactly as the same jobs did in the fresh run.
+func TestSweepTraceOut(t *testing.T) {
+	base := options{
+		workloads: "pops", schemes: "dir0b,dragon", cpus: "2,4,8",
+		refs: 6_000, seeds: 2, parallel: 2,
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	var plain strings.Builder
+	if err := run(ctx, &plain, base); err != nil {
+		t.Fatal(err)
+	}
+	traced := base
+	traced.traceOut = filepath.Join(dir, "fresh.ndjson")
+	traced.traceSample = flight.DefaultSample
+	traced.spans = true
+	var tracedCSV strings.Builder
+	if err := run(ctx, &tracedCSV, traced); err != nil {
+		t.Fatal(err)
+	}
+	if tracedCSV.String() != plain.String() {
+		t.Errorf("traced CSV differs from untraced:\n%s\nvs\n%s", tracedCSV.String(), plain.String())
+	}
+	fresh := linesByPid(t, traced.traceOut)
+	if len(fresh) != 6 {
+		t.Fatalf("fresh trace has pids %v, want one per grid job 0..5", sortedPids(fresh))
+	}
+	for gi := 0; gi < 6; gi++ {
+		if len(fresh[gi]) == 0 {
+			t.Errorf("no events for grid job %d", gi)
+		}
+	}
+
+	// Jobs 1 (panic) and 2 (truncated trace) fail; resume re-runs only
+	// them.
+	ckPath := filepath.Join(dir, "ck.json")
+	faulty := base
+	faulty.checkpoint = ckPath
+	faulty.faultPanic = "1"
+	faulty.faultTruncate = 3000
+	faulty.faultJobs = "2"
+	var partial strings.Builder
+	if err := run(ctx, &partial, faulty); !errors.Is(err, errDegraded) {
+		t.Fatalf("want errDegraded, got %v", err)
+	}
+	resumed := base
+	resumed.checkpoint = ckPath
+	resumed.resume = true
+	resumed.traceOut = filepath.Join(dir, "resumed.ndjson")
+	resumed.traceSample = traced.traceSample
+	resumed.spans = true
+	var full strings.Builder
+	if err := run(ctx, &full, resumed); err != nil {
+		t.Fatal(err)
+	}
+	got := linesByPid(t, resumed.traceOut)
+	if pids := sortedPids(got); len(pids) != 2 || pids[0] != 1 || pids[1] != 2 {
+		t.Fatalf("resumed trace has pids %v, want the re-run grid jobs [1 2]", pids)
+	}
+	for _, gi := range []int{1, 2} {
+		if strings.Join(got[gi], "\n") != strings.Join(fresh[gi], "\n") {
+			t.Errorf("re-run job %d traced differently from the fresh run", gi)
+		}
+	}
+}
+
+// linesByPid groups an NDJSON flight trace's lines by recorder pid.
+func linesByPid(t *testing.T, path string) map[int][]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[int][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var row struct{ Pid int }
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		out[row.Pid] = append(out[row.Pid], line)
+	}
+	return out
+}
+
+func sortedPids(m map[int][]string) []int {
+	pids := make([]int, 0, len(m))
+	for p := range m {
+		pids = append(pids, p)
+	}
+	sort.Ints(pids)
+	return pids
 }

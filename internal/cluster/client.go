@@ -13,7 +13,6 @@ import (
 
 	"dirsim/internal/obs"
 	"dirsim/internal/otrace"
-	"dirsim/internal/remote"
 	"dirsim/internal/runner"
 	"dirsim/internal/spec"
 )
@@ -40,12 +39,17 @@ type Client struct {
 	// APIKey authenticates to daemons running with tenants configured.
 	APIKey string
 	// HTTP is the transport shared by every per-peer request; nil uses
-	// the remote package's default (bounded dial, request lifetime from
-	// the context).
+	// a default with bounded dial and TLS timeouts but no overall
+	// deadline (wait=1 submissions long-poll; the context bounds them).
 	HTTP *http.Client
-	// Retry and Sleep configure each per-peer attempt's 429/503 retry
-	// policy, exactly as remote.Client takes them.
+	// Retry bounds how each per-peer attempt retries 429/503 answers
+	// (Max < 2 disables retries). The schedule is runner.RetryPolicy's
+	// deterministic exponential backoff with jitter, floored by the
+	// daemon's Retry-After, so a saturated daemon is probed on the same
+	// reproducible cadence every run.
 	Retry runner.RetryPolicy
+	// Sleep waits out retry backoff (cmd layers pass time.Sleep; nil
+	// applies the schedule without waiting, which is what tests want).
 	Sleep func(time.Duration)
 	// HedgeDelay is how long the primary attempt runs alone before the
 	// next peer in HRW order is tried concurrently. Zero (or nil After)
@@ -111,19 +115,11 @@ func (c *Client) RunCell(ctx context.Context, cell spec.Cell) (*spec.ResultDoc, 
 		launched++
 		outstanding++
 		addr := c.Membership.Peers[pi].Addr
-		rc := &remote.Client{
-			BaseURL: addr,
-			HTTP:    c.HTTP,
-			APIKey:  c.APIKey,
-			Retry:   c.Retry,
-			Sleep:   c.Sleep,
-		}
-		cellCopy := cell
 		sp := c.Tracer.Start(rootCtx, "attempt-"+reason)
 		sp.SetPeer(addr)
 		actx := otrace.With(ctx, sp.Context())
 		go func() {
-			doc, err := rc.Run(actx, spec.Request{Cell: &cellCopy})
+			doc, err := c.run(actx, addr, cell)
 			switch {
 			case err == nil:
 				sp.SetOutcome("win")
@@ -192,7 +188,8 @@ func (c *Client) RunCell(ctx context.Context, cell spec.Cell) (*spec.ResultDoc, 
 // concurrently), in completion order. The first cell failure cancels
 // the remaining work and is returned; later cells then surface
 // cancellation errors through onDone, which callers should ignore in
-// favour of the returned error.
+// favour of the returned error. Cancelling ctx likewise stops the run
+// and returns its cause — an interrupted fleet run never looks whole.
 func (c *Client) RunCells(ctx context.Context, cells []spec.Cell, workers int, onDone func(i int, doc *spec.ResultDoc, err error)) error {
 	if workers < 1 {
 		workers = 1
@@ -236,10 +233,7 @@ feed:
 	}
 	close(idx)
 	wg.Wait()
-	if err := context.Cause(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		return err
-	}
-	return nil
+	return context.Cause(ctx)
 }
 
 // IsTransportError reports whether err is a connection-level failure

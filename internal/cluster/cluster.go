@@ -22,6 +22,8 @@
 //     order so they are tried last, not first.
 //   - Client: hedged fan-out of cells to their owners with failover
 //     down the HRW order; first success wins, losers are canceled.
+//     Each attempt is one ?wait=1 submission that retries 429/503 on
+//     the runner's backoff, floored by the daemon's Retry-After.
 //   - CacheClient: the peer-to-peer result fetch (GET /v1/cache/{hash})
 //     daemons use to serve a popular spec fleet-wide after simulating
 //     it exactly once.

@@ -1,8 +1,7 @@
-package remote
+package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,42 +9,15 @@ import (
 	"testing"
 	"time"
 
-	"dirsim/internal/coherence"
 	"dirsim/internal/runner"
-	"dirsim/internal/spec"
-	"dirsim/internal/tracegen"
 )
-
-func testRequest(t *testing.T) spec.Request {
-	t.Helper()
-	tc := tracegen.POPS(2_000)
-	tc.CPUs = 2
-	cell := spec.Cell{Trace: tc, Schemes: []string{"dir0b"}, Machine: coherence.Config{Caches: 2}}
-	return spec.Request{Cell: &cell}
-}
-
-// resultFor fabricates a minimal done document for the request.
-func resultFor(t *testing.T, req spec.Request) []byte {
-	t.Helper()
-	hash, err := req.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := spec.ResultDoc{ID: hash, SpecVersion: spec.CurrentVersion, Status: "done"}
-	b, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
 
 // A daemon answering 429 with Retry-After must be retried on the
 // deterministic backoff schedule — honouring the header as a floor —
 // and the sweep succeeds once the queue drains, instead of failing
 // whole on transient saturation.
 func TestRunRetries429HonoringRetryAfter(t *testing.T) {
-	req := testRequest(t)
-	result := resultFor(t, req)
+	result := doneDoc(t, "ok")
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 3 {
@@ -59,11 +31,10 @@ func TestRunRetries429HonoringRetryAfter(t *testing.T) {
 
 	var slept []time.Duration
 	c := &Client{
-		BaseURL: ts.URL,
-		Retry:   runner.RetryPolicy{Max: 5, Base: 10 * time.Millisecond, Seed: 1},
-		Sleep:   func(d time.Duration) { slept = append(slept, d) },
+		Retry: runner.RetryPolicy{Max: 5, Base: 10 * time.Millisecond, Seed: 1},
+		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	}
-	doc, err := c.Run(context.Background(), req)
+	doc, err := c.run(context.Background(), ts.URL, testCell(t, 2_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +59,6 @@ func TestRunRetries429HonoringRetryAfter(t *testing.T) {
 // Attempts are capped: a permanently saturated daemon exhausts the
 // policy and surfaces the 429, it does not retry forever.
 func TestRunRetryAttemptsCapped(t *testing.T) {
-	req := testRequest(t)
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
@@ -96,8 +66,8 @@ func TestRunRetryAttemptsCapped(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{BaseURL: ts.URL, Retry: runner.RetryPolicy{Max: 3, Base: time.Millisecond, Seed: 1}}
-	_, err := c.Run(context.Background(), req)
+	c := &Client{Retry: runner.RetryPolicy{Max: 3, Base: time.Millisecond, Seed: 1}}
+	_, err := c.run(context.Background(), ts.URL, testCell(t, 2_000))
 	if err == nil {
 		t.Fatal("saturated daemon did not surface an error")
 	}
@@ -109,7 +79,6 @@ func TestRunRetryAttemptsCapped(t *testing.T) {
 // The backoff schedule is deterministic: two identical clients retrying
 // the same saturation sleep exactly the same delays.
 func TestRetryBackoffDeterministic(t *testing.T) {
-	req := testRequest(t)
 	run := func() []time.Duration {
 		var calls atomic.Int64
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -117,16 +86,15 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 				http.Error(w, `{"error":"busy"}`, http.StatusTooManyRequests)
 				return
 			}
-			w.Write(resultFor(t, req))
+			w.Write(doneDoc(t, "ok"))
 		}))
 		defer ts.Close()
 		var slept []time.Duration
 		c := &Client{
-			BaseURL: ts.URL,
-			Retry:   runner.RetryPolicy{Max: 4, Base: 20 * time.Millisecond, Seed: 7},
-			Sleep:   func(d time.Duration) { slept = append(slept, d) },
+			Retry: runner.RetryPolicy{Max: 4, Base: 20 * time.Millisecond, Seed: 7},
+			Sleep: func(d time.Duration) { slept = append(slept, d) },
 		}
-		if _, err := c.Run(context.Background(), req); err != nil {
+		if _, err := c.run(context.Background(), ts.URL, testCell(t, 2_000)); err != nil {
 			t.Fatal(err)
 		}
 		return slept
@@ -145,16 +113,13 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 // Hard errors are not retried: a 400 comes straight back, and with no
 // retry policy a 429 fails on the first answer (legacy behaviour).
 func TestNoRetryOnHardErrorOrWithoutPolicy(t *testing.T) {
-	req := testRequest(t)
 	for _, tc := range []struct {
 		status int
-		client func(url string) *Client
+		client *Client
 		calls  int64
 	}{
-		{http.StatusBadRequest, func(u string) *Client {
-			return &Client{BaseURL: u, Retry: runner.RetryPolicy{Max: 5, Base: time.Millisecond}}
-		}, 1},
-		{http.StatusTooManyRequests, func(u string) *Client { return &Client{BaseURL: u} }, 1},
+		{http.StatusBadRequest, &Client{Retry: runner.RetryPolicy{Max: 5, Base: time.Millisecond}}, 1},
+		{http.StatusTooManyRequests, &Client{}, 1},
 	} {
 		var calls atomic.Int64
 		status := tc.status
@@ -162,8 +127,7 @@ func TestNoRetryOnHardErrorOrWithoutPolicy(t *testing.T) {
 			calls.Add(1)
 			http.Error(w, fmt.Sprintf(`{"error":"status %d"}`, status), status)
 		}))
-		c := tc.client(ts.URL)
-		if _, err := c.Run(context.Background(), req); err == nil {
+		if _, err := tc.client.run(context.Background(), ts.URL, testCell(t, 2_000)); err == nil {
 			t.Errorf("status %d: no error surfaced", status)
 		}
 		if calls.Load() != tc.calls {
@@ -175,15 +139,14 @@ func TestNoRetryOnHardErrorOrWithoutPolicy(t *testing.T) {
 
 // The API key travels as a bearer token on every request.
 func TestAPIKeyHeader(t *testing.T) {
-	req := testRequest(t)
 	var got atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got.Store(r.Header.Get("Authorization"))
-		w.Write(resultFor(t, req))
+		w.Write(doneDoc(t, "ok"))
 	}))
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL, APIKey: "tenant-secret"}
-	if _, err := c.Run(context.Background(), req); err != nil {
+	c := &Client{APIKey: "tenant-secret"}
+	if _, err := c.run(context.Background(), ts.URL, testCell(t, 2_000)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Load() != "Bearer tenant-secret" {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"dirsim/internal/atomicio"
 )
 
 // Exported trace formats. Timestamps are simulated reference ordinals
@@ -160,6 +162,22 @@ func Write(w io.Writer, name string, recs ...*Recorder) error {
 		return WriteNDJSON(w, recs...)
 	}
 	return WriteChromeTrace(w, recs...)
+}
+
+// WriteFile exports recorders to path crash-safely — written to a
+// temporary file and renamed into place only when complete — in the
+// format the extension selects. Nil recorders (jobs that never ran)
+// are elided.
+func WriteFile(path string, recs ...*Recorder) error {
+	f, err := atomicio.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := Write(f, path, recs...); err != nil {
+		f.Abort()
+		return err
+	}
+	return f.Commit()
 }
 
 // FormatForPath reports which trace format a -trace-out path selects:

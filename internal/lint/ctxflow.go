@@ -20,7 +20,7 @@ type CtxFlowRule struct{}
 
 // ctxFlowPkgs are the module-relative packages the rule applies to: the
 // layers that own long-lived goroutines.
-var ctxFlowPkgs = []string{"internal/cluster", "internal/runner", "internal/server"}
+var ctxFlowPkgs = []string{"internal/cellexec", "internal/cluster", "internal/runner", "internal/server"}
 
 // Name implements Rule.
 func (CtxFlowRule) Name() string { return "ctxflow" }

@@ -5,8 +5,9 @@ import "context"
 // ctxKey keys the trace Context inside a context.Context.
 type ctxKey struct{}
 
-// With returns a context carrying tc; remote.Client reads it back and
-// stamps the X-Dirsim-Trace header on every outbound request.
+// With returns a context carrying tc; cluster.Client's per-peer requests
+// read it back and stamp the X-Dirsim-Trace header on every outbound
+// request.
 func With(ctx context.Context, tc Context) context.Context {
 	return context.WithValue(ctx, ctxKey{}, tc)
 }
